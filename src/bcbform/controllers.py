@@ -3,7 +3,8 @@
 All functions are pure: they map local relative measurements (and, where
 needed, an explicit accumulator state) to commanded inputs.  The gain blocks
 commute with planar rotations, so evaluating these laws in any agent-local
-frame and rotating the result back gives the same command.
+frame and rotating the result back gives the same command.  The consensus
+laws take one agent's measurements; the other laws also take stacked rows.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, GuaranteeViolationError
-from .geometry import rotate90
+from .geometry import row_dot, row_norms
 
 
-def rotation(alpha: float) -> NDArray[np.float64]:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]])
+def rotation(alpha) -> NDArray[np.float64]:
+    """Planar rotation by ``alpha``; an array of angles gives (..., 2, 2)."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class ScaleConfig:
         if self.f_kind not in ("tanh", "atan"):
             raise ConfigurationError(f"unknown scale map {self.f_kind!r}")
 
-    def f(self, x: float) -> float:
-        g = math.tanh(x) if self.f_kind == "tanh" else math.atan(x)
+    def f(self, x):
+        g = np.tanh(x) if self.f_kind == "tanh" else np.arctan(x)
         return g / self.k_f
 
 
@@ -79,6 +81,10 @@ class ControllerConfig:
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise ConfigurationError(f"{name} must be positive when set")
+        if self.chain_variant not in ("full_A", "identity_derivatives"):
+            raise ConfigurationError(
+                f"unknown chain control variant {self.chain_variant!r}"
+            )
 
 
 @dataclass
@@ -106,28 +112,32 @@ def single_integrator_control(rel_positions, gain_blocks) -> NDArray[np.float64]
     return consensus_term(rel_positions, gain_blocks)
 
 
-def perturb_control(u, c: float, alpha: float) -> NDArray[np.float64]:
-    """Scale by c > 0 and rotate by |alpha| < pi/2; convergence is preserved."""
-    if c <= 0 or abs(alpha) >= math.pi / 2:
+def perturb_control(u, c, alpha) -> NDArray[np.float64]:
+    """Scale by c > 0 and rotate by |alpha| < pi/2; convergence is preserved.
+    Stacked rows of ``u`` take one ``c`` and one ``alpha`` each."""
+    c = np.asarray(c, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(c <= 0) or np.any(np.abs(alpha) >= math.pi / 2):
         raise GuaranteeViolationError(
             f"perturbation (c={c}, alpha={alpha}) outside the robustness envelope"
         )
-    return c * (rotation(alpha) @ np.asarray(u, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
+    return c[..., None] * np.matmul(rotation(alpha), u[..., None])[..., 0]
 
 
 def saturate_norm(u, u_max: float) -> NDArray[np.float64]:
-    """Scale ``u`` down to norm ``u_max`` when it exceeds it; direction kept."""
+    """Scale each row of ``u`` down to norm ``u_max`` when it exceeds it;
+    direction kept, rows within the bound returned unchanged."""
     u = np.asarray(u, dtype=np.float64)
-    norm = float(np.linalg.norm(u))
-    if norm <= u_max:
-        return u
-    return u * (u_max / norm)
+    norm = row_norms(u)[..., None]
+    return np.where(norm <= u_max, u, u * (u_max / np.maximum(norm, u_max)))
 
 
-def saturate_scalar(x: float, bound: float | None) -> float:
-    if bound is None or abs(x) <= bound:
+def saturate_scalar(x, bound: float | None):
+    """Clip |x| to ``bound`` keeping the sign, elementwise for arrays."""
+    if bound is None:
         return x
-    return math.copysign(bound, x)
+    return np.where(np.abs(x) <= bound, x, np.copysign(bound, x))[()]
 
 
 def integral_control(
@@ -185,23 +195,38 @@ def higher_order_control(
 
 def _check_unit(vec, name: str) -> NDArray[np.float64]:
     v = np.asarray(vec, dtype=np.float64)
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    if np.any(np.abs(row_norms(v) - 1.0) > 1e-9):
         raise ConfigurationError(f"{name} vector must be unit norm")
     return v
 
 
-def unicycle_control(h, u) -> tuple[float, float]:
+def _check_drive(drive: str) -> None:
+    if drive not in ("front", "rear"):
+        raise ConfigurationError(f"unknown drive type {drive!r}")
+
+
+def _project(h, u):
+    """Components of ``u`` along the unit vector ``h`` and its left normal."""
+    h_perp = np.stack([-h[..., 1], h[..., 0]], axis=-1)
+    return row_dot(h, u)[()], row_dot(h_perp, u)[()]
+
+
+def unicycle_control(h, u):
     """Project the holonomic command on the heading and its perpendicular."""
-    h = _check_unit(h, "heading")
-    u = np.asarray(u, dtype=np.float64)
-    return float(h @ u), float(rotate90(h) @ u)
+    return _project(_check_unit(h, "heading"), u)
 
 
 def unicycle_actuator_control(
-    h, u, v_current: float, mode: str = "direct", k_s: float | None = None
-) -> tuple[float, float]:
-    """Commands for the actuator-dynamics unicycle; optional velocity feedback."""
+    h, u, v_current, mode: str = "direct", k_s: float | None = None,
+    drive: str = "front", phi=0.0,
+):
+    """Commands (s, r) for the actuator-dynamics unicycle, or car with ``h`` the
+    steering direction.  A rear-drive car's desired speed is pinned to zero at
+    perpendicular steering, where the rear wheels cannot move the front axle."""
     v_des, r = unicycle_control(h, u)
+    _check_drive(drive)
+    if drive == "rear":
+        v_des = np.where(np.abs(np.cos(phi)) < 1e-12, 0.0, v_des)[()]
     if mode == "direct":
         return v_des, r
     if mode == "velocity_feedback":
@@ -211,34 +236,13 @@ def unicycle_actuator_control(
     raise ConfigurationError(f"unknown actuator mode {mode!r}")
 
 
-def car_control(g, u, drive: str = "front", phi: float = 0.0) -> tuple[float, float]:
+def car_control(g, u, drive: str = "front", phi=0.0):
     """Project onto the steering direction; rear drive masks by cos(phi)."""
-    g = _check_unit(g, "steering")
-    u = np.asarray(u, dtype=np.float64)
-    v = float(g @ u)
-    omega = float(rotate90(g) @ u)
+    v, omega = _project(_check_unit(g, "steering"), u)
+    _check_drive(drive)
     if drive == "rear":
-        v *= math.cos(phi)
-    elif drive != "front":
-        raise ConfigurationError(f"unknown drive type {drive!r}")
+        v = v * np.cos(phi)
     return v, omega
-
-
-def car_actuator_control(
-    g, u, v_current: float, mode: str = "direct", k_s: float | None = None
-) -> tuple[float, float]:
-    """Actuator-dynamics car commands, mirroring the unicycle variant."""
-    g = _check_unit(g, "steering")
-    u = np.asarray(u, dtype=np.float64)
-    s_des = float(g @ u)
-    r = float(rotate90(g) @ u)
-    if mode == "direct":
-        return s_des, r
-    if mode == "velocity_feedback":
-        if k_s is None:
-            raise ConfigurationError("velocity_feedback mode requires k_s")
-        return -k_s * (v_current - s_des), r
-    raise ConfigurationError(f"unknown actuator mode {mode!r}")
 
 
 def scale_augmented_control(

@@ -27,8 +27,9 @@ class ActuatorParams:
     d: float = 1.0
 
 
-def heading_vector(theta: float) -> NDArray[np.float64]:
-    return np.array([math.cos(theta), math.sin(theta)])
+def heading_vector(theta) -> NDArray[np.float64]:
+    """Unit vector (cos theta, sin theta); an array of angles gives (..., 2)."""
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def deriv_single_integrator(u) -> NDArray[np.float64]:
@@ -39,51 +40,53 @@ def deriv_single_integrator(u) -> NDArray[np.float64]:
 def deriv_chain(state: NDArray[np.floating], u, m: int) -> NDArray[np.float64]:
     """Chain of integrators: each derivative feeds the one below, u at the top.
 
-    ``state`` stacks (q, q(1), ..., q(m)) as a flat vector of 2(m+1) entries.
+    ``state`` stacks (q, q(1), ..., q(m)) as 2(m+1) entries along its last axis.
     """
     state = np.asarray(state, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if state.size != 2 * (m + 1):
+    if state.shape[-1] != 2 * (m + 1):
         raise DimensionError(
-            f"chain state length {state.size} does not match order m={m}"
+            f"chain state length {state.shape[-1]} does not match order m={m}"
         )
     out = np.empty_like(state)
-    out[:-2] = state[2:]
-    out[-2:] = u
+    out[..., :-2] = state[..., 2:]
+    out[..., -2:] = u
     return out
 
 
 def deriv_unicycle(
     state: NDArray[np.floating],
-    inputs: tuple[float, float],
+    inputs,
     params: ActuatorParams | None = None,
     kinematic_only: bool = True,
 ) -> NDArray[np.float64]:
     """Unicycle field.  Kinematic state (x, y, theta) with inputs (v, omega);
-    dynamic state (x, y, theta, v, omega) with inputs (s, r)."""
+    dynamic state (x, y, theta, v, omega) with inputs (s, r).  Rows may be
+    stacked, one per agent, with scalar or per-agent ``params`` fields."""
     state = np.asarray(state, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    theta = state[..., 2]
     if kinematic_only:
-        x, y, theta = state
-        v, omega = inputs
-        return np.array([v * math.cos(theta), v * math.sin(theta), omega])
+        v, omega = inputs[..., 0], inputs[..., 1]
+        return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
     if params is None:
         raise ConfigurationError("actuator params required for the dynamic unicycle")
-    x, y, theta, v, omega = state
-    s, r = inputs
-    return np.array(
+    v, omega = state[..., 3], state[..., 4]
+    s, r = inputs[..., 0], inputs[..., 1]
+    return np.stack(
         [
-            v * math.cos(theta),
-            v * math.sin(theta),
+            v * np.cos(theta),
+            v * np.sin(theta),
             omega,
             -params.a * v + params.b * s,
             -params.c * omega + params.d * r,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def deriv_car(
     state: NDArray[np.floating],
-    inputs: tuple[float, float],
+    inputs,
     wheelbase: float,
     params: ActuatorParams | None = None,
     kinematic_only: bool = True,
@@ -91,6 +94,7 @@ def deriv_car(
 ) -> NDArray[np.float64]:
     """Front-axle car field.  Kinematic state (x, y, theta, phi) with inputs
     (v, omega); dynamic state (x, y, theta, phi, v, omega) with inputs (s, r).
+    Stacked rows are accepted as for :func:`deriv_unicycle`.
 
     When a steering bound is active, the steering rate is zeroed at the bound
     whenever it pushes outward (hard clamp semantics).
@@ -98,30 +102,28 @@ def deriv_car(
     if wheelbase <= 0:
         raise ConfigurationError("wheelbase must be positive")
     state = np.asarray(state, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    theta, phi = state[..., 2], state[..., 3]
     if kinematic_only:
-        x, y, theta, phi = state
-        v, omega = inputs
-        phidot = omega
+        v, omega = inputs[..., 0], inputs[..., 1]
     else:
         if params is None:
             raise ConfigurationError("actuator params required for the dynamic car")
-        x, y, theta, phi, v, omega = state
-        s, r = inputs
-        phidot = omega
-    if phi_max is not None and abs(phi) >= phi_max and phi * phidot > 0:
-        phidot = 0.0
+        v, omega = state[..., 4], state[..., 5]
+    phidot = omega
+    if phi_max is not None:
+        phidot = np.where((np.abs(phi) >= phi_max) & (phi * phidot > 0), 0.0, phidot)
     delta = theta + phi
-    base = [
-        v * math.cos(delta),
-        v * math.sin(delta),
-        (v / wheelbase) * math.sin(phi),
+    rows = [
+        v * np.cos(delta),
+        v * np.sin(delta),
+        (v / wheelbase) * np.sin(phi),
         phidot,
     ]
-    if kinematic_only:
-        return np.array(base)
-    return np.array(
-        base + [-params.a * v + params.b * s, -params.c * omega + params.d * r]
-    )
+    if not kinematic_only:
+        s, r = inputs[..., 0], inputs[..., 1]
+        rows += [-params.a * v + params.b * s, -params.c * omega + params.d * r]
+    return np.stack(rows, axis=-1)
 
 
 def rear_to_front_speed(v_rear: float, phi: float) -> float:

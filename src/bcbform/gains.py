@@ -330,7 +330,7 @@ def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
     return (V * w) @ V.T
 
 
-def _admm_solve(pool, Bs, Zn, x0, r, opts: SolverOptions):
+def _admm_solve(Bs, Zn, x0, r, opts: SolverOptions):
     """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, x in affine set."""
     dim_y = Zn.shape[1]
     m_top = len(Bs)
@@ -391,7 +391,7 @@ def _admm_solve(pool, Bs, Zn, x0, r, opts: SolverOptions):
     )
 
 
-def _subgradient_solve(pool, Bs, Zn, x0, r, opts: SolverOptions):
+def _subgradient_solve(Bs, Zn, x0, r, opts: SolverOptions):
     """Projected subgradient ascent on gamma(x) = min_k lambda_1(-Abar^k(x))."""
     m_top = len(Bs)
     Fs = [Bk @ Zn for Bk in Bs]
@@ -435,9 +435,13 @@ def _design(
     spec: FormationSpec,
     opts: SolverOptions,
     joint: bool,
-) -> tuple[list[GainMatrix], SolveInfo, KernelBasis]:
+) -> tuple[list[GainMatrix], SolveInfo]:
     for g in graphs:
-        validate_graph(g)
+        if not validate_graph(g).connected:
+            raise InfeasibleTopologyError(
+                "the sensing graph is disconnected; a stabilizing gain matrix "
+                "needs a connected graph"
+            )
         if g.n != spec.n:
             raise DimensionError("graph and formation sizes differ")
     basis = build_kernel_basis(spec)
@@ -449,9 +453,9 @@ def _design(
     x0, Zn = _affine_parametrization(G, h)
     Bs = [_elementary_columns(pool, k, basis.Q) for k in range(len(pool.graphs))]
     if opts.algorithm == "projected_subgradient":
-        x, info = _subgradient_solve(pool, Bs, Zn, x0, r, opts)
+        x, info = _subgradient_solve(Bs, Zn, x0, r, opts)
     elif opts.algorithm == "admm":
-        x, info = _admm_solve(pool, Bs, Zn, x0, r, opts)
+        x, info = _admm_solve(Bs, Zn, x0, r, opts)
     else:
         raise DimensionError(f"unknown solver algorithm {opts.algorithm!r}")
 
@@ -489,9 +493,7 @@ def _design(
         GainMatrix.from_edge_params(pool.graphs[k], pool.edge_params(k, x))
         for k in range(len(pool.graphs))
     ]
-    if not joint:
-        mats = mats * 1
-    return mats, info, basis
+    return mats, info
 
 
 def design_gains(
@@ -500,7 +502,7 @@ def design_gains(
     opts: SolverOptions = SolverOptions(),
 ) -> tuple[GainMatrix, SolveInfo]:
     """Design a stabilizing gain matrix for a single sensing topology."""
-    mats, info, _ = _design([graph], spec, opts, joint=False)
+    mats, info = _design([graph], spec, opts, joint=False)
     return mats[0], info
 
 
@@ -513,7 +515,7 @@ def design_joint_gains(
     cannot distinguish two of them (identical neighbor sets)."""
     if not graphs:
         raise DimensionError("need at least one topology")
-    mats, info, _ = _design(list(graphs), spec, opts, joint=True)
+    mats, info = _design(list(graphs), spec, opts, joint=True)
     return mats, info
 
 

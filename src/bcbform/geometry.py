@@ -105,10 +105,6 @@ class GraphReport:
     connected: bool
     degree_sequence: tuple[int, ...]
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.degree_sequence)
-
 
 def validate_graph(g: SensingGraph) -> GraphReport:
     """Report connectivity, degrees, and edge count of a sensing graph.
@@ -171,11 +167,6 @@ class KernelBasis:
     def n(self) -> int:
         return self.N.shape[0] // 2
 
-    def projector_complement(self) -> NDArray[np.float64]:
-        """I - N_hat N_hat^T, the projector onto range(Q)."""
-        dim = self.N.shape[0]
-        return np.eye(dim) - self.N_hat @ self.N_hat.T
-
 
 def build_kernel_basis(spec: FormationSpec) -> KernelBasis:
     """Construct the 4-column kernel matrix and complete it to an orthonormal frame.
@@ -197,43 +188,59 @@ def build_kernel_basis(spec: FormationSpec) -> KernelBasis:
     return KernelBasis(N=N, N_hat=U[:, :4], Q=U[:, 4:])
 
 
-def formation_error(q: NDArray[np.floating], basis: KernelBasis) -> float:
+def row_dot(a, b) -> NDArray[np.float64]:
+    """Dot products along the last axis, rounded like ``a_row @ b_row``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms(v) -> NDArray[np.float64]:
+    """Euclidean norms along the last axis, rounded like ``np.linalg.norm(row)``."""
+    return np.sqrt(row_dot(v, v))
+
+
+def formation_error(q: NDArray[np.floating], basis: KernelBasis):
     """Relative distance of ``q`` from the invariant subspace, in [0, 1].
 
     Zero exactly when the configuration is a translated/rotated/scaled copy
-    of the desired formation (including the all-coincident case).
+    of the desired formation (including the all-coincident case).  ``q`` is
+    one stacked 2n-vector or an array of them along the last axis.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != basis.N.shape[0]:
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[-1:] != (basis.N.shape[0],):
         raise DimensionError(
-            f"state length {q.shape[0]} does not match basis dimension {basis.N.shape[0]}"
+            f"state shape {q.shape} does not match basis dimension {basis.N.shape[0]}"
         )
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
+    norm = row_norms(q)
+    if np.any(norm == 0.0):
         raise DimensionError("formation error undefined for the zero vector")
-    residual = q - basis.N_hat @ (basis.N_hat.T @ q)
-    return min(float(np.linalg.norm(residual) / norm), 1.0)
+    projection = np.matmul(basis.N_hat, np.matmul(basis.N_hat.T, q[..., None]))[..., 0]
+    residual = np.subtract(q, projection, out=projection)
+    return np.minimum(row_norms(residual) / norm, 1.0)[()]
 
 
-def lyapunov_value(q: NDArray[np.floating], A: NDArray[np.floating]) -> float:
-    """V = -1/2 q^T A q, nonnegative for a verified (negative-semidefinite) gain."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    return float(-0.5 * q @ (A @ q))
+def lyapunov_value(q: NDArray[np.floating], A: NDArray[np.floating]):
+    """V = -1/2 q^T A q, nonnegative for a verified (negative-semidefinite) gain.
+
+    ``q`` is one stacked 2n-vector or an array of them along the last axis.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    return row_dot(-0.5 * q, np.matmul(A, q[..., None])[..., 0])[()]
 
 
-def min_pairwise_distance(points: NDArray[np.floating]) -> float:
-    """Smallest inter-agent distance for an (n, 2) array of positions."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2))
-    iu = np.triu_indices(len(pts), k=1)
-    return float(d[iu].min()) if iu[0].size else np.inf
-
-
-@dataclass(frozen=True)
-class FormationMetrics:
-    """Per-step convergence/safety metrics logged by the simulator."""
-
-    subspace_error: float
-    lyapunov_value: float
-    min_pairwise_distance: float
+def min_pairwise_distance(points: NDArray[np.floating]):
+    """Smallest inter-agent distance of (n, 2) positions, or of each (n, 2)
+    configuration in a stack; reduced one agent at a time to bound memory."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 2)
+    best = np.full(pts.shape[:-2], np.inf)
+    for i in range(pts.shape[-2] - 1):
+        dx = pts[..., i + 1 :, 0] - pts[..., i : i + 1, 0]
+        dy = pts[..., i + 1 :, 1] - pts[..., i : i + 1, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        best = np.minimum(best, np.min(dx, axis=-1))
+    return np.sqrt(best)[()]

@@ -34,6 +34,14 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _finite(value, field: str) -> np.ndarray:
+    """``value`` as a float array, refusing NaN and infinities anywhere in it."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{field} must be finite; NaN or infinity found")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Scenario documents
 
@@ -147,7 +155,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
 
     formation_doc = doc["formation"]
     _check_keys(formation_doc, {"coordinates", "center"}, "formation")
-    coords = formation_doc["coordinates"]
+    coords = _finite(formation_doc["coordinates"], "formation.coordinates")
     formation = FormationSpec.from_coordinates(
         coords, center=formation_doc.get("center", True)
     )
@@ -216,7 +224,9 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
         )
 
     def opt_float(key):
-        return float(ctl_doc[key]) if key in ctl_doc else None
+        if key not in ctl_doc:
+            return None
+        return float(_finite(ctl_doc[key], f"controller.{key}"))
 
     controller = ControllerConfig(
         u_max=opt_float("u_max"),
@@ -255,17 +265,19 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     if kind == "explicit":
         init = InitSpec(
             kind="explicit",
-            states=np.asarray(init_doc["states"], dtype=np.float64),
+            states=_finite(init_doc["states"], "sim.init.states"),
         )
     else:
+        low = _finite(init_doc.get("low", (-5.0, -5.0)), "sim.init.low")
+        high = _finite(init_doc.get("high", (5.0, 5.0)), "sim.init.high")
         init = InitSpec(
             kind=kind,
-            low=tuple(float(v) for v in init_doc.get("low", (-5.0, -5.0))),
-            high=tuple(float(v) for v in init_doc.get("high", (5.0, 5.0))),
+            low=tuple(float(v) for v in low),
+            high=tuple(float(v) for v in high),
         )
     sim = SimConfig(
-        dt=float(sim_doc.get("dt", 0.01)),
-        t_final=float(sim_doc.get("t_final", 60.0)),
+        dt=float(_finite(sim_doc.get("dt", 0.01), "sim.dt")),
+        t_final=float(_finite(sim_doc.get("t_final", 60.0), "sim.t_final")),
         seed=int(sim_doc.get("seed", 42)),
         init=init,
         convergence_threshold=float(sim_doc.get("convergence_threshold", 1e-3)),
@@ -274,7 +286,8 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
 
     frame_angles = None
     if "frame_angles" in doc:
-        frame_angles = tuple(float(v) for v in doc["frame_angles"])
+        angles = _finite(doc["frame_angles"], "frame_angles")
+        frame_angles = tuple(float(v) for v in angles)
 
     scenario = Scenario(
         formation=formation,

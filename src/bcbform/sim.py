@@ -1,9 +1,13 @@
 """Deterministic fixed-step closed-loop simulation of formation scenarios.
 
-One engine covers all dynamics classes: per step it selects the active
-topology, evaluates each agent's control from neighbor-relative positions
-(optionally in a rotated per-agent frame), applies avoidance and saturation,
-and advances the state with classical RK4 under zero-order-hold commands.
+One engine covers all dynamics classes.  Each step evaluates the whole team
+at once: the gain blocks times the relative measurements over the sensing
+edges, summed per agent, plus the chain, scale, integral and perturbation
+terms; avoidance per agent; projection and saturation; and one classical
+RK4 step of the (n, state_dim) state under zero-order-hold commands.  The
+metrics are computed once from the stored log.  Per-agent measurement
+frames (``Scenario.frame_angles``) do not enter the step: the blocks
+a*I + b*K commute with every rotation, so no common orientation is needed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from numpy.typing import NDArray
 
 from . import controllers as ctl
 from .collision import AvoidanceConfig, adjust_control, build_cones
-from .controllers import ControllerConfig, IntegralState
+from .controllers import ControllerConfig, ScaleConfig
 from .dynamics import (
     ActuatorParams,
     deriv_car,
@@ -35,6 +39,7 @@ from .geometry import (
     formation_error,
     lyapunov_value,
     min_pairwise_distance,
+    row_norms,
 )
 
 DYNAMICS_CLASSES = ("single_integrator", "chain", "unicycle", "car")
@@ -187,118 +192,121 @@ def _initial_states(scenario: Scenario, rng: np.random.Generator) -> NDArray[np.
     return states
 
 
-class _ControlContext:
-    """Precomputed per-topology data reused every step."""
+@dataclass(frozen=True)
+class _EdgeArrays:
+    """Directed sensing edges of one topology, built once per run.
 
-    def __init__(self, scenario: Scenario, gains: list[GainMatrix]):
-        self.scenario = scenario
-        self.gains = gains
-        self.block_rows = [
-            [gm.block_row(i) for i in range(1, scenario.formation.n + 1)]
-            for gm in gains
-        ]
-        self.neighbor_sets = [
-            [sorted(g.neighbors(i)) for i in range(1, g.n + 1)]
-            for g in scenario.topologies
-        ]
+    Edges are agent-major with neighbors sorted, the order in which
+    ``controllers.consensus_term`` adds them.  ``np.add.at`` adds rows edge
+    by edge in array order, so per-agent sums over these arrays round
+    exactly like the per-agent law.
+    """
 
-
-def _chain_blocks(states: NDArray[np.float64], order: int):
-    """Split (n, 2(m+1)) chain states into per-derivative (n, 2) views."""
-    return [states[:, 2 * j : 2 * j + 2] for j in range(order + 1)]
+    src: NDArray[np.intp]  # measuring agent (0-based)
+    dst: NDArray[np.intp]  # measured neighbor (0-based)
+    blocks: NDArray[np.float64]  # (E, 2, 2) gain blocks A_src,dst
+    d_star: NDArray[np.float64] | None  # (E,) desired distances, scale law only
+    draw_rows: NDArray[np.intp]  # (orders, E) rows of one step's noise draw
 
 
-def _compute_commands(
-    ctx: _ControlContext,
-    topo_idx: int,
+def _edge_arrays(
+    graph: SensingGraph, gm: GainMatrix, scale: ScaleConfig | None, orders: int
+) -> _EdgeArrays:
+    """Edge arrays for ``graph``; ``orders`` relative measurements per edge."""
+    src, dst, blocks, d_star = [], [], [], []
+    for i in range(1, graph.n + 1):
+        row = gm.block_row(i)
+        for j in sorted(graph.neighbors(i)):
+            if j not in row:
+                raise ConfigurationError(f"no gain block for neighbor {j}")
+            src.append(i - 1)
+            dst.append(j - 1)
+            blocks.append(row[j])
+            if scale is not None:
+                key = (min(i, j), max(i, j))
+                if key not in scale.d_star:
+                    raise ConfigurationError(f"no desired distance for edge {key}")
+                d_star.append(scale.d_star[key])
+    src = np.array(src, dtype=np.intp)
+    # Noise is drawn agent by agent: all position measurements of an agent,
+    # then each derivative order's, before the next agent's.
+    first = np.searchsorted(src, src)
+    degree = np.bincount(src, minlength=graph.n)[src]
+    draw_rows = (
+        orders * first + np.arange(orders)[:, None] * degree + np.arange(src.size) - first
+    )
+    return _EdgeArrays(
+        src=src,
+        dst=np.array(dst, dtype=np.intp),
+        blocks=np.array(blocks).reshape(-1, 2, 2),
+        d_star=np.array(d_star) if scale is not None else None,
+        draw_rows=draw_rows,
+    )
+
+
+def _team_command(
+    scenario: Scenario,
+    edges: _EdgeArrays,
     states: NDArray[np.float64],
-    integral_states: list[IntegralState] | None,
+    integral: tuple | None,
     dt: float,
     rng: np.random.Generator,
-    noise: float,
 ):
-    """Commanded planar control vector u_i per agent, before projection."""
-    sc = ctx.scenario
-    n = sc.formation.n
-    cfg = sc.controller
-    positions = states[:, :2]
-    blocks = ctx.block_rows[topo_idx]
-    neighbors = ctx.neighbor_sets[topo_idx]
-    us = np.zeros((n, 2))
-    new_integrals = None
-    if integral_states is not None:
-        new_integrals = list(integral_states)
+    """Planar command u per agent, before projection, for the whole team.
 
-    chain_parts = None
-    if sc.agents.dynamics == "chain":
-        chain_parts = _chain_blocks(states, sc.agents.chain_order)
+    Returns the (n, 2) commands and the integral state for the next step.
+    """
+    cfg = scenario.controller
+    model = scenario.agents
+    n = scenario.formation.n
+    noise = scenario.sim.measurement_noise
+    draws = None
+    if noise > 0.0:
+        orders, n_edges = edges.draw_rows.shape
+        draws = rng.uniform(-noise, noise, size=(orders * n_edges, 2))[edges.draw_rows]
 
-    for i in range(1, n + 1):
-        frame = None
-        if sc.frame_angles is not None:
-            frame = ctl.rotation(sc.frame_angles[i - 1])
+    def consensus(part, order):
+        """sum_j A_ij (x_j - x_i) per agent, and the relative measurements."""
+        rel = part[edges.dst] - part[edges.src]
+        if draws is not None:
+            rel = rel + draws[order]
+        total = np.zeros((n, 2))
+        np.add.at(total, edges.src, np.matmul(edges.blocks, rel[:, :, None])[:, :, 0])
+        return total, rel
 
-        def measure(vec):
-            v = np.asarray(vec, dtype=np.float64)
-            if noise > 0.0:
-                v = v + rng.uniform(-noise, noise, size=2)
-            return frame.T @ v if frame is not None else v
-
-        rel = [
-            (j, measure(positions[j - 1] - positions[i - 1])) for j in neighbors[i - 1]
-        ]
-        gain_blocks = blocks[i - 1]
-
-        if sc.agents.dynamics == "chain":
-            term = ctl.consensus_term(rel, gain_blocks)
-            m = sc.agents.chain_order
+    u, rel = consensus(states[:, :2], 0)
+    if model.dynamics == "chain":
+        k = cfg.k_chain
+        u = k[0] * u
+        for order in range(1, len(k)):
+            part = states[:, 2 * order : 2 * order + 2]
             if cfg.chain_variant == "full_A":
-                rel_terms = []
-                for orderidx in range(1, m + 1):
-                    part = chain_parts[orderidx]
-                    rel_d = [
-                        (j, measure(part[j - 1] - part[i - 1]))
-                        for j in neighbors[i - 1]
-                    ]
-                    rel_terms.append(ctl.consensus_term(rel_d, gain_blocks))
-                u = ctl.higher_order_control(term, rel_terms, [], cfg.k_chain, "full_A")
+                u = u + k[order] * consensus(part, order)[0]
             else:
-                own = [
-                    (frame.T @ chain_parts[j][i - 1]) if frame is not None
-                    else chain_parts[j][i - 1]
-                    for j in range(1, m + 1)
-                ]
-                u = ctl.higher_order_control(
-                    term, None, own, cfg.k_chain, "identity_derivatives"
-                )
-        elif cfg.scale is not None:
-            u = ctl.scale_augmented_control(i, rel, gain_blocks, cfg.scale)
-        elif cfg.k0_int is not None and cfg.k1_int is not None:
-            u, new_state = ctl.integral_control(
-                rel, gain_blocks, integral_states[i - 1], dt, cfg.k0_int, cfg.k1_int
-            )
-            new_integrals[i - 1] = new_state
-        else:
-            u = ctl.single_integrator_control(rel, gain_blocks)
-
-        if frame is not None:
-            u = frame @ u
-        if cfg.perturbation is not None:
-            u = ctl.perturb_control(
-                u, cfg.perturbation.c[i - 1], cfg.perturbation.alpha[i - 1]
-            )
-        us[i - 1] = u
+                u = u - k[order] * part
+    elif edges.d_star is not None:
+        gain = cfg.scale.f(row_norms(rel) - edges.d_star)
+        np.add.at(u, edges.src, gain[:, None] * rel)
+    elif integral is not None:
+        acc, last = integral
+        if last is not None:
+            acc = acc + 0.5 * dt * (last + u)
+        integral = (acc, u)
+        u = cfg.k0_int * u + cfg.k1_int * acc
+    if cfg.perturbation is not None:
+        u = ctl.perturb_control(u, cfg.perturbation.c, cfg.perturbation.alpha)
 
     # Collision avoidance sees every other agent's position, not just
     # sensing-graph neighbors.
-    if sc.avoidance is not None:
-        adjusted = np.empty_like(us)
+    if scenario.avoidance is not None:
+        positions = states[:, :2]
+        adjusted = np.empty_like(u)
         for i in range(n):
             others = np.delete(positions, i, axis=0)
-            cones = build_cones(positions[i], others, sc.avoidance)
-            adjusted[i] = adjust_control(us[i], cones, sc.avoidance)
-        us = adjusted
-    return us, new_integrals
+            cones = build_cones(positions[i], others, scenario.avoidance)
+            adjusted[i] = adjust_control(u[i], cones, scenario.avoidance)
+        u = adjusted
+    return u, integral
 
 
 def _project_commands(
@@ -307,54 +315,23 @@ def _project_commands(
     """Per-dynamics-class projection/saturation of the planar commands."""
     cfg = scenario.controller
     model = scenario.agents
-    n = us.shape[0]
-    cmds = np.zeros((n, 2))
     if model.dynamics in ("single_integrator", "chain"):
-        for i in range(n):
-            u = us[i]
-            if cfg.u_max is not None:
-                u = ctl.saturate_norm(u, cfg.u_max)
-            cmds[i] = u
-        return cmds
-    for i in range(n):
-        u = us[i]
-        theta = states[i, 2]
-        if model.dynamics == "unicycle":
-            h = heading_vector(theta)
-            if model.kinematic_only:
-                v, omega = ctl.unicycle_control(h, u)
-            else:
-                v, omega = ctl.unicycle_actuator_control(
-                    h, u, states[i, 3], cfg.actuator_mode, cfg.k_s
-                )
-        else:
-            phi = states[i, 3]
-            g = heading_vector(theta + phi)
-            if model.kinematic_only:
-                v, omega = ctl.car_control(g, u, model.drive, phi)
-            else:
-                if model.drive == "rear":
-                    # Rear-wheel masking: the commanded front-equivalent speed
-                    # vanishes at |phi| = pi/2 where the rear wheels cannot
-                    # produce motion along the steering direction.
-                    v_raw, omega = ctl.car_control(g, u, "front", phi)
-                    v_des = 0.0 if abs(math.cos(phi)) < 1e-12 else v_raw
-                    if cfg.actuator_mode == "velocity_feedback":
-                        if cfg.k_s is None:
-                            raise ConfigurationError(
-                                "velocity_feedback mode requires k_s"
-                            )
-                        v = -cfg.k_s * (states[i, 4] - v_des)
-                    else:
-                        v = v_des
-                else:
-                    v, omega = ctl.car_actuator_control(
-                        g, u, states[i, 4], cfg.actuator_mode, cfg.k_s
-                    )
-        v = ctl.saturate_scalar(v, cfg.v_max)
-        omega = ctl.saturate_scalar(omega, cfg.omega_max)
-        cmds[i] = (v, omega)
-    return cmds
+        return us if cfg.u_max is None else ctl.saturate_norm(us, cfg.u_max)
+    # A unicycle projects like a front-drive car that never steers.
+    car = model.dynamics == "car"
+    phi = states[:, 3] if car else 0.0
+    drive = model.drive if car else "front"
+    h = heading_vector(states[:, 2] + phi)
+    if model.kinematic_only:
+        v, omega = ctl.car_control(h, us, drive, phi)
+    else:
+        v, omega = ctl.unicycle_actuator_control(
+            h, us, states[:, -2], cfg.actuator_mode, cfg.k_s, drive, phi
+        )
+    return np.stack(
+        [ctl.saturate_scalar(v, cfg.v_max), ctl.saturate_scalar(omega, cfg.omega_max)],
+        axis=-1,
+    )
 
 
 def _rk4_step(deriv, state: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
@@ -366,45 +343,49 @@ def _rk4_step(deriv, state: NDArray[np.float64], dt: float) -> NDArray[np.float6
 
 
 def _advance(
-    scenario: Scenario, states: NDArray[np.float64], cmds: NDArray[np.float64], dt: float
+    scenario: Scenario,
+    states: NDArray[np.float64],
+    cmds: NDArray[np.float64],
+    dt: float,
+    params: ActuatorParams | None,
 ) -> NDArray[np.float64]:
+    """One RK4 step of the whole team under zero-order-hold commands."""
     model = scenario.agents
-    out = np.empty_like(states)
-    for i in range(states.shape[0]):
-        cmd = cmds[i]
-        if model.dynamics == "single_integrator":
-            out[i] = _rk4_step(lambda s: deriv_single_integrator(cmd), states[i], dt)
-        elif model.dynamics == "chain":
-            m = model.chain_order
-            out[i] = _rk4_step(lambda s: deriv_chain(s, cmd, m), states[i], dt)
-        elif model.dynamics == "unicycle":
-            params = model.actuators[i] if model.actuators else None
-            out[i] = _rk4_step(
-                lambda s: deriv_unicycle(
-                    s, tuple(cmd), params, model.kinematic_only
-                ),
-                states[i],
-                dt,
-            )
-        else:
-            params = model.actuators[i] if model.actuators else None
-            out[i] = _rk4_step(
-                lambda s: deriv_car(
-                    s,
-                    tuple(cmd),
-                    model.wheelbase,
-                    params,
-                    model.kinematic_only,
-                    scenario.controller.phi_max,
-                ),
-                states[i],
-                dt,
-            )
-            if scenario.controller.phi_max is not None:
-                out[i, 3] = float(
-                    np.clip(out[i, 3], -scenario.controller.phi_max,
-                            scenario.controller.phi_max)
-                )
+    kinematic = model.kinematic_only
+    phi_max = scenario.controller.phi_max
+    if model.dynamics == "single_integrator":
+        return _rk4_step(lambda s: deriv_single_integrator(cmds), states, dt)
+    if model.dynamics == "chain":
+        return _rk4_step(lambda s: deriv_chain(s, cmds, model.chain_order), states, dt)
+    if model.dynamics == "unicycle":
+        return _rk4_step(lambda s: deriv_unicycle(s, cmds, params, kinematic), states, dt)
+    out = _rk4_step(
+        lambda s: deriv_car(s, cmds, model.wheelbase, params, kinematic, phi_max),
+        states,
+        dt,
+    )
+    if phi_max is not None:
+        out[:, 3] = np.clip(out[:, 3], -phi_max, phi_max)
+    return out
+
+
+def _convergence_time(t: NDArray[np.float64], err: NDArray[np.float64], threshold: float):
+    """Start of the first stretch of steps with ``err < threshold`` whose
+    last step is at least CONVERGENCE_SUSTAIN after its first, else None."""
+    below = np.concatenate([[False], err < threshold, [False]])
+    flips = np.flatnonzero(below[1:] != below[:-1])
+    first, last = flips[0::2], flips[1::2] - 1
+    lasting = t[last] - t[first] >= CONVERGENCE_SUSTAIN
+    return float(t[first[lasting][0]]) if lasting.any() else None
+
+
+def _quadratic_values(q: NDArray[np.float64], topo: NDArray[np.int64], gains):
+    """-1/2 q^T A q per row of ``q``, with A the gain of that row's topology,
+    taken one stretch of constant topology at a time so rows are not copied."""
+    out = np.empty(len(q))
+    cuts = np.flatnonzero(np.diff(topo)) + 1
+    for first, end in zip(np.r_[0, cuts], np.r_[cuts, len(q)]):
+        out[first:end] = lyapunov_value(q[first:end], gains[topo[first]].assembled)
     return out
 
 
@@ -425,66 +406,59 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
                 f"(zero_count={report.zero_count}, "
                 f"kernel_residual={report.kernel_residual:.2e})"
             )
+    cfg = scenario.controller
+    model = scenario.agents
+    chain = model.dynamics == "chain"
+    scale = cfg.scale if not chain else None
+    orders = model.chain_order + 1 if chain and cfg.chain_variant == "full_A" else 1
+    edges = [
+        _edge_arrays(g, gm, scale, orders) for g, gm in zip(scenario.topologies, gains)
+    ]
+    integral = None
+    if not chain and scale is None and cfg.k0_int is not None and cfg.k1_int is not None:
+        if cfg.k0_int <= 0 or cfg.k1_int < 0:
+            raise GuaranteeViolationError("integral control requires k0 > 0 and k1 >= 0")
+        integral = (np.zeros((n, 2)), None)
+    params = None
+    if model.actuators:
+        params = ActuatorParams(
+            *np.array([[p.a, p.b, p.c, p.d] for p in model.actuators]).T
+        )
 
     rng = np.random.default_rng(scenario.sim.seed)
     states = _initial_states(scenario, rng)
     dt = scenario.sim.dt
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
-    ctx = _ControlContext(scenario, gains)
-    uses_integral = (
-        scenario.controller.k0_int is not None
-        and scenario.controller.k1_int is not None
-        and scenario.agents.dynamics == "single_integrator"
-    )
-    integral_states = [IntegralState() for _ in range(n)] if uses_integral else None
 
     t_arr = np.arange(steps) * dt
     states_log = np.zeros((steps, n, states.shape[1]))
     cmds_log = np.zeros((steps, n, 2))
-    err_log = np.zeros(steps)
-    lyap_log = np.zeros(steps)
-    dist_log = np.zeros(steps)
     topo_log = np.zeros(steps, dtype=np.int64)
 
-    converged_since = None
-    convergence_time = None
-    threshold = scenario.sim.convergence_threshold
-
     for k in range(steps):
-        t = t_arr[k]
-        topo_idx = active_topology(scenario.schedule, t)
-        us, integral_states_new = _compute_commands(
-            ctx, topo_idx, states, integral_states, dt, rng,
-            scenario.sim.measurement_noise,
+        topo_idx = active_topology(scenario.schedule, t_arr[k])
+        us, next_integral = _team_command(
+            scenario, edges[topo_idx], states, integral, dt, rng
         )
-        cmds = _project_commands(scenario, states, us)
-
-        positions = states[:, :2]
-        q = positions.reshape(-1)
-        err = formation_error(q, basis) if np.linalg.norm(q) > 0 else 1.0
         states_log[k] = states
-        cmds_log[k] = cmds
-        err_log[k] = err
-        lyap_log[k] = lyapunov_value(q, gains[topo_idx].assembled)
-        dist_log[k] = min_pairwise_distance(positions)
+        cmds_log[k] = _project_commands(scenario, states, us)
         topo_log[k] = topo_idx
-
-        if err < threshold:
-            if converged_since is None:
-                converged_since = t
-            if convergence_time is None and t - converged_since >= CONVERGENCE_SUSTAIN:
-                convergence_time = converged_since
-        else:
-            converged_since = None
-
         if k + 1 < steps:
-            states = _advance(scenario, states, cmds, dt)
-            if integral_states_new is not None:
-                integral_states = integral_states_new
+            states = _advance(scenario, states, cmds_log[k], dt, params)
+            integral = next_integral
 
-    monitor = lyapunov_monitor_arrays(
-        states_log, topo_log, gains, scenario.agents, dt
+    positions = states_log[:, :, :2]
+    q = positions.reshape(steps, -1)
+    err_log = np.ones(steps)
+    nonzero = row_norms(q) > 0
+    err_log[nonzero] = formation_error(q if nonzero.all() else q[nonzero], basis)
+    lyap_log = _quadratic_values(q, topo_log, gains)
+    dist_log = min_pairwise_distance(positions)
+    convergence_time = _convergence_time(
+        t_arr, err_log, scenario.sim.convergence_threshold
     )
+
+    monitor = lyapunov_monitor_arrays(states_log, topo_log, gains, model, dt)
     summary = RunSummary(
         final_subspace_error=float(err_log[-1]),
         min_distance=float(dist_log.min()),
@@ -502,7 +476,7 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         lyapunov=lyap_log,
         min_distance=dist_log,
         topology_index=topo_log,
-        agents=scenario.agents,
+        agents=model,
         summary=summary,
     )
 
@@ -529,38 +503,32 @@ def lyapunov_monitor_arrays(
     unicycle/car runs use the composite candidate with the true actuator
     gains; everything else uses the quadratic formation candidate.
     """
-    steps, n, _ = states_log.shape
+    steps = states_log.shape[0]
     use_composite = (
         model.dynamics in ("unicycle", "car")
         and not model.kinematic_only
         and model.actuators is not None
     )
     v_index = 3 if model.dynamics == "unicycle" else 4
+    q = states_log[:, :, :2].reshape(steps, -1)
+    interval_topo = topo_log[:-1]
 
-    def candidate(states, A):
-        q = states[:, :2].reshape(-1)
-        val = lyapunov_value(q, A)
+    def candidate(rows: slice):
+        val = _quadratic_values(q[rows], interval_topo, gains)
         if use_composite:
-            vs = states[:, v_index]
             bs = np.array([p.b for p in model.actuators])
-            val += 0.5 * float(np.sum(vs**2 / bs))
+            val = val + 0.5 * np.sum(states_log[rows, :, v_index] ** 2 / bs, axis=1)
         return val
 
-    v0n = candidate(states_log[0], gains[topo_log[0]].assembled)
+    before = candidate(slice(0, steps - 1))
+    inc = candidate(slice(1, steps)) - before
     # Integrator-order slack grows with dt^4 truncation plus command-hold error.
-    tol = tol_scale * max(v0n, 1.0) + 1e-9
-    violations = 0
-    worst = -np.inf
-    flagged = []
-    for k in range(steps - 1):
-        A = gains[topo_log[k]].assembled
-        inc = candidate(states_log[k + 1], A) - candidate(states_log[k], A)
-        worst = max(worst, inc)
-        if inc > tol:
-            violations += 1
-            flagged.append(k)
+    tol = tol_scale * max(float(before[0]), 1.0) + 1e-9
+    flagged = np.flatnonzero(inc > tol)
     return MonitorReport(
-        violations=violations, worst_increment=float(worst), flagged_steps=flagged
+        violations=int(flagged.size),
+        worst_increment=float(np.fmax.reduce(inc, initial=-np.inf)),
+        flagged_steps=flagged.tolist(),
     )
 
 

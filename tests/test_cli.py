@@ -51,6 +51,31 @@ class TestDesign:
         (workdir / "bad.yaml").write_text("version: [1\n")
         assert main(["design", "bad.yaml", "--quiet"]) == EXIT_PARSE
 
+    def test_nan_coordinate_is_parse_error(self, workdir, capsys):
+        write_triangle(workdir / "tri.yaml")
+        doc = yaml.safe_load((workdir / "tri.yaml").read_text())
+        doc["formation"]["coordinates"][1][0] = math.nan
+        (workdir / "nan.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert ".nan" in (workdir / "nan.yaml").read_text()
+        assert main(["design", "nan.yaml", "--quiet"]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "formation.coordinates" in err[0]
+
+    def test_disconnected_graph_is_infeasible(self, workdir, capsys):
+        spec = FormationSpec.from_coordinates(
+            [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+        )
+        scenario = Scenario(
+            formation=spec,
+            topologies=(SensingGraph(6, [(1, 2), (2, 3), (1, 3),
+                                         (4, 5), (5, 6), (4, 6)]),),
+            schedule=((0.0, 0),),
+        )
+        save_scenario(str(workdir / "two.yaml"), scenario)
+        assert main(["design", "two.yaml", "--quiet"]) == EXIT_INFEASIBLE
+        assert "disconnected" in capsys.readouterr().err
+
     def test_path_graph_is_infeasible(self, workdir):
         write_triangle(workdir / "path.yaml", edges=((1, 2), (2, 3)))
         assert main(["design", "path.yaml", "--quiet"]) == EXIT_INFEASIBLE
@@ -116,6 +141,18 @@ class TestSimulate:
         (workdir / "g.json").write_text(json.dumps(doc))
         code = main(["simulate", "tri.yaml", "g.json", "-o", "out.csv", "--quiet"])
         assert code == EXIT_INFEASIBLE
+        assert not (workdir / "out.csv").exists()
+
+    def test_nan_start_refused_before_stepping(self, workdir, capsys):
+        write_triangle(workdir / "tri.yaml")
+        main(["design", "tri.yaml", "-o", "g.json", "--quiet"])
+        doc = yaml.safe_load((workdir / "tri.yaml").read_text())
+        doc["sim"]["init"] = {"kind": "explicit",
+                              "states": [[0.0, 0.0], [1.0, math.nan], [2.0, 2.0]]}
+        (workdir / "nan.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+        code = main(["simulate", "nan.yaml", "g.json", "-o", "out.csv", "--quiet"])
+        assert code == EXIT_PARSE
+        assert "sim.init.states" in capsys.readouterr().err
         assert not (workdir / "out.csv").exists()
 
     def test_seed_override_changes_initial_row(self, workdir):

@@ -12,7 +12,6 @@ from bcbform.controllers import (
     IntegralState,
     PerturbationConfig,
     ScaleConfig,
-    car_actuator_control,
     car_control,
     consensus_term,
     higher_order_control,
@@ -184,7 +183,7 @@ class TestNonholonomicProjection:
     def test_car_actuator_matches_unicycle_shape(self):
         g = [math.cos(-0.4), math.sin(-0.4)]
         u = [1.0, 1.0]
-        direct = car_actuator_control(g, u, 0.0, mode="direct")
+        direct = unicycle_actuator_control(g, u, 0.0, mode="direct")
         assert direct == pytest.approx(car_control(g, u, drive="front"))
 
 
@@ -234,6 +233,10 @@ class TestControllerConfig:
         for name in ("u_max", "v_max", "omega_max", "phi_max"):
             with pytest.raises(ConfigurationError):
                 ControllerConfig(**{name: 0.0})
+
+    def test_unknown_chain_variant_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ControllerConfig(chain_variant="partial_A")
 
     def test_defaults_valid(self):
         cfg = ControllerConfig()

@@ -115,6 +115,20 @@ class TestDesign:
         with pytest.raises(InfeasibleTopologyError):
             design_gains(g, spec)
 
+    def test_disconnected_graph_refused_before_constraints(self, monkeypatch):
+        import bcbform.gains as gains_mod
+
+        def no_constraints(*args):
+            raise AssertionError("constraints built for a disconnected graph")
+
+        monkeypatch.setattr(gains_mod, "_constraints", no_constraints)
+        spec = FormationSpec.from_coordinates(HEX_POINTS)
+        two_triangles = SensingGraph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+        with pytest.raises(InfeasibleTopologyError, match="disconnected"):
+            design_gains(two_triangles, spec)
+        with pytest.raises(InfeasibleTopologyError, match="disconnected"):
+            design_joint_gains([complete_graph(6), two_triangles], spec)
+
     def test_subgradient_fallback_agrees_with_admm(self):
         spec = FormationSpec.from_coordinates([(0, 0), (2, 0), (1, 2)])
         opts = SolverOptions(algorithm="projected_subgradient")

@@ -130,6 +130,40 @@ class TestScenarioSchema:
             load_scenario(str(path))
 
 
+NON_FINITE_FIELDS = {
+    "formation.coordinates": lambda doc: doc["formation"]["coordinates"][2],
+    "sim.init.low": lambda doc: doc["sim"]["init"]["low"],
+    "sim.init.high": lambda doc: doc["sim"]["init"]["high"],
+    "frame_angles": lambda doc: doc["frame_angles"],
+    "controller.v_max": None,
+    "controller.omega_max": None,
+    "sim.dt": None,
+    "sim.t_final": None,
+}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_with_field_name(self, field, bad):
+        doc = scenario_to_dict(rich_scenario())
+        container = NON_FINITE_FIELDS[field]
+        if container is None:
+            section, key = field.split(".")
+            doc[section][key] = bad
+        else:
+            container(doc)[0] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            scenario_from_dict(doc)
+
+    def test_explicit_start_rejected(self):
+        doc = scenario_to_dict(rich_scenario())
+        doc["sim"]["init"] = {"kind": "explicit",
+                              "states": [[0.0, 0.0]] * 5 + [[math.nan, 1.0]]}
+        with pytest.raises(ConfigurationError, match="sim.init.states"):
+            scenario_from_dict(doc)
+
+
 class TestGainsRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
         spec = FormationSpec.from_coordinates(HEX_POINTS)

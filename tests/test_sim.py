@@ -1,12 +1,24 @@
 """Closed-loop simulation engine: determinism, schedules, logs, monitoring."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bcbform.collision import AvoidanceConfig
-from bcbform.controllers import ControllerConfig, ScaleConfig
+from bcbform.controllers import (
+    ControllerConfig,
+    IntegralState,
+    PerturbationConfig,
+    ScaleConfig,
+    consensus_term,
+    higher_order_control,
+    integral_control,
+    perturb_control,
+    rotation,
+    scale_augmented_control,
+)
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
 from bcbform.gains import GainMatrix, design_gains
 from bcbform.geometry import FormationSpec, SensingGraph, min_pairwise_distance
@@ -162,6 +174,119 @@ class TestRun:
         log = run(scenario, hex_gains)
         assert float(np.min(log.min_distance)) >= 0.1
         assert log.summary.converged
+
+
+    def test_missing_gain_block_or_distance_refused(self, hex_gains):
+        scenario, _ = hexagon_scenario(
+            controller=ControllerConfig(scale=ScaleConfig(d_star={}))
+        )
+        with pytest.raises(ConfigurationError, match="desired distance"):
+            run(scenario, hex_gains)
+        complete = SensingGraph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+        scenario = dataclasses.replace(scenario, topologies=(complete,),
+                                       controller=ControllerConfig())
+        with pytest.raises(ConfigurationError, match="no gain block"):
+            run(scenario, hex_gains)
+
+    def test_measurement_noise_perturbs_reproducibly(self, hex_gains):
+        clean, _ = hexagon_scenario(sim=SimConfig(t_final=5.0, seed=3))
+        noisy, _ = hexagon_scenario(
+            sim=SimConfig(t_final=5.0, seed=3, measurement_noise=0.05)
+        )
+        a = run(noisy, hex_gains)
+        b = run(noisy, hex_gains)
+        assert not np.array_equal(a.states, run(clean, hex_gains).states)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.commands, b.commands)
+
+
+CHAIN_K = (2.0, 2.0, 3.0, 3.0)
+HEX_D_STAR = {(min(i, i % 6 + 1), max(i, i % 6 + 1)): 1.0 for i in range(1, 7)}
+TEAM_LAWS = {
+    "consensus": (AgentModel(), ControllerConfig()),
+    "chain_full_A": (AgentModel(dynamics="chain", chain_order=3),
+                     ControllerConfig(k_chain=CHAIN_K, chain_variant="full_A")),
+    "chain_identity": (AgentModel(dynamics="chain", chain_order=3),
+                       ControllerConfig(k_chain=CHAIN_K)),
+    "scale": (AgentModel(), ControllerConfig(scale=ScaleConfig(d_star=HEX_D_STAR))),
+    "integral": (AgentModel(), ControllerConfig(k0_int=1.0, k1_int=0.5)),
+    "perturbation": (AgentModel(), ControllerConfig(perturbation=PerturbationConfig(
+        c=(0.5, 1.0, 2.0, 3.0, 0.7, 1.2), alpha=(0.3, -1.0, 1.4, 0.0, -0.2, 0.9)))),
+}
+
+
+def reference_commands(scenario, gm, states, integrals, rng):
+    """Per-agent laws evaluated in each agent's rotated frame, rotated back.
+
+    This is the order in which the simulator has always drawn measurement
+    noise: agent by agent, positions first, then each derivative order.
+    """
+    cfg, model, sim = scenario.controller, scenario.agents, scenario.sim
+    graph = scenario.topologies[0]
+    us = np.zeros((6, 2))
+    for i in range(1, 7):
+        R = rotation(scenario.frame_angles[i - 1])
+        blocks = gm.block_row(i)
+        neighbors = sorted(graph.neighbors(i))
+
+        def measure(part):
+            out = []
+            for j in neighbors:
+                v = part[j - 1] - part[i - 1]
+                if sim.measurement_noise > 0.0:
+                    v = v + rng.uniform(-sim.measurement_noise,
+                                        sim.measurement_noise, size=2)
+                out.append((j, R.T @ v))
+            return out
+
+        rel = measure(states[:, :2])
+        if model.dynamics == "chain":
+            parts = [states[:, 2 * o : 2 * o + 2] for o in range(1, 4)]
+            if cfg.chain_variant == "full_A":
+                rel_terms = [consensus_term(measure(p), blocks) for p in parts]
+                u = higher_order_control(consensus_term(rel, blocks), rel_terms, [],
+                                         cfg.k_chain, "full_A")
+            else:
+                own = [R.T @ p[i - 1] for p in parts]
+                u = higher_order_control(consensus_term(rel, blocks), None, own,
+                                         cfg.k_chain, "identity_derivatives")
+        elif cfg.scale is not None:
+            u = scale_augmented_control(i, rel, blocks, cfg.scale)
+        elif cfg.k0_int is not None:
+            u, integrals[i - 1] = integral_control(rel, blocks, integrals[i - 1],
+                                                   sim.dt, cfg.k0_int, cfg.k1_int)
+        else:
+            u = consensus_term(rel, blocks)
+        u = R @ u
+        if cfg.perturbation is not None:
+            u = perturb_control(u, cfg.perturbation.c[i - 1],
+                                cfg.perturbation.alpha[i - 1])
+        us[i - 1] = u
+    return us
+
+
+class TestTeamStep:
+    @pytest.mark.parametrize("law", sorted(TEAM_LAWS))
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_matches_per_agent_laws_in_local_frames(self, hex_gains, law, noise):
+        model, controller = TEAM_LAWS[law]
+        rng = np.random.default_rng(11)
+        states = rng.uniform(-2.0, 2.0, size=(6, model.state_dim()))
+        scenario, _ = hexagon_scenario(
+            agents=model,
+            controller=controller,
+            frame_angles=tuple(rng.uniform(-math.pi, math.pi, size=6)),
+            sim=SimConfig(t_final=0.03, seed=5, measurement_noise=noise,
+                          init=InitSpec(kind="explicit", states=states)),
+        )
+        log = run(scenario, hex_gains)
+        # Explicit starts draw nothing, so noise is the generator's first use.
+        draws = np.random.default_rng(5)
+        integrals = [IntegralState() for _ in range(6)]
+        for k in range(log.t.size):
+            want = reference_commands(scenario, hex_gains[0], log.states[k],
+                                      integrals, draws)
+            assert np.max(np.abs(log.commands[k] - want)) < 1e-12
 
 
 class TestSwitching:
