@@ -218,10 +218,10 @@ def cmd_simulate(args) -> int:
     try:
         scenario, _ = load_scenario(args.scenario)
         mats, _ = load_gains(args.gains)
+        scenario = _apply_overrides(scenario, args)
     except (OSError, ConfigurationError, BcbformError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    scenario = _apply_overrides(scenario, args)
     code = _verify_against_scenario(mats, scenario, quiet=True)
     if code != EXIT_OK:
         return code
@@ -391,10 +391,10 @@ DEMO_NAMES = ("triangle", "hexagon", "grid9", "unicycle9", "car9", "switching9")
 def cmd_demo(args) -> int:
     try:
         scenario, names, opts = demo_scenario(args.name)
+        scenario = _apply_overrides(scenario, args)
     except ConfigurationError as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    scenario = _apply_overrides(scenario, args)
     prefix = args.name
     scenario_path = f"{prefix}.yaml"
     gains_path = f"{prefix}.gains.json"

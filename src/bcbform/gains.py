@@ -230,26 +230,81 @@ class _VariablePool:
         }
 
 
-def _elementary_columns(pool: _VariablePool, k: int, Q: NDArray[np.float64]):
-    """Map x -> vec(Q^T A^k(x) Q) as a dense matrix of shape (r*r, dim)."""
-    n, r = pool.n, Q.shape[1]
-    B = np.zeros((r * r, pool.dim))
-    rows = Q.reshape(n, 2, r)  # rows[i-1] is the 2 x r slice of agent i
-    for (i, j) in pool.graphs[k].edge_list:
-        Qi, Qj = rows[i - 1], rows[j - 1]
-        # a-variable: blocks +I at (i,j),(j,i); -I at diagonals.
-        AQ = np.zeros((n, 2, r))
-        AQ[i - 1] = Qj - Qi
-        AQ[j - 1] = Qi - Qj
-        col = (Q.T @ AQ.reshape(2 * n, r)).reshape(-1)
-        B[:, pool.a_index((k, (i, j)))] += col
-        # b-variable: +K at (i,j), -K at (j,i), -K at diag i, +K at diag j.
-        AQ = np.zeros((n, 2, r))
-        AQ[i - 1] = _K2 @ (Qj - Qi)
-        AQ[j - 1] = _K2.T @ (Qi - Qj)
-        col = (Q.T @ AQ.reshape(2 * n, r)).reshape(-1)
-        B[:, pool.b_index((k, (i, j)))] += col
-    return B
+class _EdgeOperator:
+    """x -> Q^T A^k(x) Q for every topology k of a pool, from the edge list.
+
+    With the 2 x r slices Q_i of Q and, per edge (i, j), D = Q_j - Q_i,
+    S = Q_i + Q_j and KD = K D, the a-variable of the edge contributes
+    -a D^T D and its b-variable b S^T KD.  Every variable u is thus
+    sign_u L_u^T R_u with 2 x r factors L_u, R_u, so the forward map, its
+    adjoint and the Gram matrix only ever touch 2-row slices: nothing of
+    size r^2 x dim is formed.  Topologies are stacked on a leading axis,
+    padded with zero rows to a common edge count.
+    """
+
+    def __init__(self, pool: _VariablePool, Q: NDArray[np.float64]):
+        n, r = pool.n, Q.shape[1]
+        m = len(pool.graphs)
+        count = max(len(g.edge_list) for g in pool.graphs)
+        rows = Q.reshape(n, 2, r)
+        # Variable u = (a or b, edge) owns factor rows 2u and 2u + 1.
+        left = np.zeros((m, 2, count, 2, r))
+        right = np.zeros((m, 2, count, 2, r))
+        index = np.zeros((m, 2, count), dtype=np.intp)
+        sign = np.zeros((m, 2, count))
+        self.parts = []  # unpadded (L, R, index, sign) per topology
+        for k, g in enumerate(pool.graphs):
+            edges = g.edge_list
+            ne = len(edges)
+            i, j = np.array(edges).T - 1
+            D = rows[j] - rows[i]
+            left[k, 0, :ne] = right[k, 0, :ne] = D
+            left[k, 1, :ne] = rows[i] + rows[j]
+            right[k, 1, :ne] = _K2 @ D
+            index[k, 0, :ne] = [pool.a_index((k, e)) for e in edges]
+            index[k, 1, :ne] = [pool.b_index((k, e)) for e in edges]
+            sign[k, 0, :ne] = -1.0
+            sign[k, 1, :ne] = 1.0
+            self.parts.append((
+                left[k, :, :ne].reshape(4 * ne, r),
+                right[k, :, :ne].reshape(4 * ne, r),
+                index[k, :, :ne].reshape(-1),
+                sign[k, :, :ne].reshape(-1),
+            ))
+        self.m, self.r, self.dim = m, r, pool.dim
+        self.left = left.reshape(m, 4 * count, r)
+        self.left_t = np.ascontiguousarray(self.left.transpose(0, 2, 1))
+        self.right = right.reshape(m, 4 * count, r)
+        self.index = index.reshape(m, 2 * count)
+        self.sign = sign.reshape(m, 2 * count)
+        self.row_index = np.repeat(self.index, 2, axis=1)[:, None, :]
+        self.row_sign = np.repeat(self.sign, 2, axis=1)[:, None, :]
+
+    def forward(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Stack (m, r, r) of Q^T A^k(x) Q."""
+        return (self.left_t * (self.row_sign * x[self.row_index])) @ self.right
+
+    def adjoint(self, W: NDArray[np.float64]) -> NDArray[np.float64]:
+        """x-space vector sum_k B_k^T vec(W_k) for a stack W of shape (m, r, r)."""
+        vals = np.einsum("kur,kur->ku", self.left @ W, self.right)
+        vals = vals.reshape(self.m, -1, 2).sum(axis=-1) * self.sign
+        return np.bincount(self.index.ravel(), weights=vals.ravel(), minlength=self.dim)
+
+    def gram(self, chunk_rows: int = 256) -> NDArray[np.float64]:
+        """B^T B: <L_u^T R_u, L_v^T R_v> is the sum of (L_u L_v^T) * (R_u R_v^T).
+
+        Factor rows are taken ``chunk_rows`` at a time, so no temporary
+        grows beyond chunk_rows x (4 |E|)."""
+        G = np.zeros((self.dim, self.dim))
+        for L, R, idx, sgn in self.parts:
+            nvar = idx.size
+            for lo in range(0, 2 * nvar, chunk_rows):
+                hi = min(lo + chunk_rows, 2 * nvar)
+                blk = (L[lo:hi] @ L.T) * (R[lo:hi] @ R.T)
+                blk = blk.reshape((hi - lo) // 2, 2, nvar, 2).sum(axis=(1, 3))
+                rows = slice(lo // 2, hi // 2)
+                G[np.ix_(idx[rows], idx)] += blk * np.outer(sgn[rows], sgn)
+        return G
 
 
 def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
@@ -325,56 +380,53 @@ class SolveInfo:
 
 
 def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    """Project each matrix of a stack onto the PSD cone."""
+    w, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
     w = np.maximum(w, 0.0)
-    return (V * w) @ V.T
+    return (V * w[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-def _admm_solve(Bs, Zn, x0, r, opts: SolverOptions):
+def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
     """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, x in affine set."""
     dim_y = Zn.shape[1]
-    m_top = len(Bs)
+    m_top, r = op.m, op.r
     rho = opts.rho
-    F = np.vstack([Bk @ Zn for Bk in Bs])
-    offs = np.concatenate([Bk @ x0 for Bk in Bs])
-    e = np.concatenate([np.eye(r).reshape(-1)] * m_top)
+    eye = np.eye(r)
+    offs = op.forward(x0)
+    # F = B Zn and e = vec(I) per topology; only F^T F and F^T e are formed.
+    Ft_e = Zn.T @ op.adjoint(np.broadcast_to(eye, (m_top, r, r)))
     M = np.empty((dim_y + 1, dim_y + 1))
-    M[:dim_y, :dim_y] = F.T @ F
-    M[:dim_y, dim_y] = F.T @ e
-    M[dim_y, :dim_y] = e.T @ F
-    M[dim_y, dim_y] = e @ e
+    M[:dim_y, :dim_y] = Zn.T @ (op.gram() @ Zn)
+    M[:dim_y, dim_y] = Ft_e
+    M[dim_y, :dim_y] = Ft_e
+    M[dim_y, dim_y] = m_top * r
     # Tiny ridge guards rank deficiency in degenerate variable pools.
     M[np.diag_indices_from(M)] += 1e-12 * max(1.0, np.trace(M) / (dim_y + 1))
     lu, piv = scipy.linalg.lu_factor(M)
 
     y = np.zeros(dim_y)
     gamma = 0.0
-    Zs = [np.zeros((r, r)) for _ in range(m_top)]
-    Ys = [np.zeros((r, r)) for _ in range(m_top)]
+    Z = np.zeros((m_top, r, r))
+    Y = np.zeros((m_top, r, r))
     scale = np.sqrt(m_top) * r
+    rhs = np.empty(dim_y + 1)
     primal = dual = np.inf
     it = 0
     for it in range(1, opts.max_iterations + 1):
         # (x, gamma)-update: equality-constrained least squares.
-        c = offs + np.concatenate([(Zk + Yk / rho).reshape(-1) for Zk, Yk in zip(Zs, Ys)])
-        rhs = np.empty(dim_y + 1)
-        rhs[:dim_y] = -F.T @ c
-        rhs[dim_y] = 1.0 / rho - e @ c
-        sol = scipy.linalg.lu_solve((lu, piv), rhs)
+        c = offs + (Z + Y / rho)
+        rhs[:dim_y] = -(Zn.T @ op.adjoint(c))
+        rhs[dim_y] = 1.0 / rho - np.trace(c, axis1=1, axis2=2).sum()
+        sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
         y, gamma = sol[:dim_y], sol[dim_y]
-        abar_vec = F @ y + offs
+        shifted = op.forward(Zn @ y) + offs + gamma * eye
         # Z-update: spectral projection onto the PSD cone.
-        dual_acc = 0.0
-        primal_acc = 0.0
-        for k in range(m_top):
-            Abark = abar_vec[k * r * r : (k + 1) * r * r].reshape(r, r)
-            target = -(Abark + gamma * np.eye(r)) - Ys[k] / rho
-            Zk_new = _psd_project(target)
-            dual_acc += np.linalg.norm(Zk_new - Zs[k]) ** 2
-            Zs[k] = Zk_new
-            Rk = Zs[k] + Abark + gamma * np.eye(r)
-            primal_acc += np.linalg.norm(Rk) ** 2
-            Ys[k] = Ys[k] + rho * Rk
+        Z_new = _psd_project(-shifted - Y / rho)
+        dual_acc = np.sum((Z_new - Z) ** 2)
+        Z = Z_new
+        R = Z + shifted
+        primal_acc = np.sum(R**2)
+        Y = Y + rho * R
         primal = np.sqrt(primal_acc) / scale
         dual = rho * np.sqrt(dual_acc) / scale
         if primal < opts.primal_tol and dual < opts.dual_tol:
@@ -391,30 +443,25 @@ def _admm_solve(Bs, Zn, x0, r, opts: SolverOptions):
     )
 
 
-def _subgradient_solve(Bs, Zn, x0, r, opts: SolverOptions):
+def _subgradient_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
     """Projected subgradient ascent on gamma(x) = min_k lambda_1(-Abar^k(x))."""
-    m_top = len(Bs)
-    Fs = [Bk @ Zn for Bk in Bs]
-    offs = [Bk @ x0 for Bk in Bs]
+    offs = op.forward(x0)
     y = np.zeros(Zn.shape[1])
     best_y = y.copy()
     best_gamma = -np.inf
     step0 = 1.0
     it = 0
     for it in range(1, opts.max_iterations + 1):
-        gammas, vecs = [], []
-        for k in range(m_top):
-            Abark = (Fs[k] @ y + offs[k]).reshape(r, r)
-            w, V = np.linalg.eigh(-Abark)
-            gammas.append(w[0])
-            vecs.append(V[:, 0])
-        k_min = int(np.argmin(gammas))
-        gamma = gammas[k_min]
+        w, V = np.linalg.eigh(-(op.forward(Zn @ y) + offs))
+        k_min = int(np.argmin(w[:, 0]))
+        gamma = w[k_min, 0]
         if gamma > best_gamma:
             best_gamma = gamma
             best_y = y.copy()
-        v = vecs[k_min]
-        grad = -Fs[k_min].T @ np.outer(v, v).reshape(-1)
+        v = V[k_min, :, 0]
+        W = np.zeros((op.m, op.r, op.r))
+        W[k_min] = np.outer(v, v)
+        grad = -(Zn.T @ op.adjoint(W))
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14:
             break
@@ -446,24 +493,20 @@ def _design(
             raise DimensionError("graph and formation sizes differ")
     basis = build_kernel_basis(spec)
     n = spec.n
-    r = 2 * n - 4
     trace_per = opts.resolved_trace(n)
     pool = _VariablePool(graphs if joint else graphs[:1])
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
     x0, Zn = _affine_parametrization(G, h)
-    Bs = [_elementary_columns(pool, k, basis.Q) for k in range(len(pool.graphs))]
+    op = _EdgeOperator(pool, basis.Q)
     if opts.algorithm == "projected_subgradient":
-        x, info = _subgradient_solve(Bs, Zn, x0, r, opts)
+        x, info = _subgradient_solve(op, Zn, x0, opts)
     elif opts.algorithm == "admm":
-        x, info = _admm_solve(Bs, Zn, x0, r, opts)
+        x, info = _admm_solve(op, Zn, x0, opts)
     else:
         raise DimensionError(f"unknown solver algorithm {opts.algorithm!r}")
 
     # Exact achieved objective, independent of the solver's running estimate.
-    gammas = [
-        float(np.linalg.eigvalsh(-(Bk @ x).reshape(r, r))[0]) for Bk in Bs
-    ]
-    gamma = min(gammas)
+    gamma = float(np.linalg.eigvalsh(-op.forward(x))[:, 0].min())
     info = replace(info, gamma=gamma)
     floor = opts.resolved_floor(n)
     if gamma <= floor:

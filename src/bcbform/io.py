@@ -276,8 +276,8 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
             high=tuple(float(v) for v in high),
         )
     sim = SimConfig(
-        dt=float(_finite(sim_doc.get("dt", 0.01), "sim.dt")),
-        t_final=float(_finite(sim_doc.get("t_final", 60.0), "sim.t_final")),
+        dt=float(sim_doc.get("dt", 0.01)),
+        t_final=float(sim_doc.get("t_final", 60.0)),
         seed=int(sim_doc.get("seed", 42)),
         init=init,
         convergence_threshold=float(sim_doc.get("convergence_threshold", 1e-3)),

@@ -93,6 +93,9 @@ class SimConfig:
     measurement_noise: float = 0.0
 
     def __post_init__(self):
+        for name in ("dt", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"sim.{name} must be finite; NaN or infinity found")
         if self.dt <= 0 or self.t_final <= self.dt:
             raise ConfigurationError("need dt > 0 and t_final > dt")
 
@@ -140,7 +143,7 @@ def active_topology(schedule, t: float) -> int:
 class RunSummary:
     final_subspace_error: float
     min_distance: float
-    lyapunov_violations: int
+    lyapunov_violations: int | None  # None: no theorem candidate for this run
     converged: bool
     convergence_time: float | None
     wall_clock: float
@@ -458,11 +461,16 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         t_arr, err_log, scenario.sim.convergence_threshold
     )
 
-    monitor = lyapunov_monitor_arrays(states_log, topo_log, gains, model, dt)
+    if chain or integral is not None:
+        # The quadratic candidate is not the theorem's Lyapunov function for
+        # chain or integral dynamics, so these runs are left unchecked.
+        monitor = MonitorReport.unchecked()
+    else:
+        monitor = lyapunov_monitor_arrays(states_log, topo_log, gains, model, dt)
     summary = RunSummary(
         final_subspace_error=float(err_log[-1]),
         min_distance=float(dist_log.min()),
-        lyapunov_violations=int(monitor.violations),
+        lyapunov_violations=monitor.violations,
         converged=convergence_time is not None,
         convergence_time=convergence_time,
         wall_clock=_time.perf_counter() - start,
@@ -483,9 +491,13 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
 
 @dataclass
 class MonitorReport:
-    violations: int
+    violations: int | None  # None when the run was not checked
     worst_increment: float
     flagged_steps: list[int]
+
+    @classmethod
+    def unchecked(cls) -> "MonitorReport":
+        return cls(violations=None, worst_increment=math.nan, flagged_steps=[])
 
 
 def lyapunov_monitor_arrays(
@@ -535,7 +547,12 @@ def lyapunov_monitor_arrays(
 def lyapunov_monitor(
     log: TrajectoryLog, gains: list[GainMatrix], tol_scale: float = 1e-7
 ) -> MonitorReport:
-    """Post-hoc Lyapunov descent check over a finished trajectory log."""
+    """Post-hoc Lyapunov descent check over a finished trajectory log.
+
+    A log whose run was not checked (chain or integral dynamics) stays
+    unchecked."""
+    if log.summary.lyapunov_violations is None:
+        return MonitorReport.unchecked()
     return lyapunov_monitor_arrays(
         log.states, log.topology_index, gains, log.agents, float(log.t[1] - log.t[0]),
         tol_scale,

@@ -155,6 +155,21 @@ class TestSimulate:
         assert "sim.init.states" in capsys.readouterr().err
         assert not (workdir / "out.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--t-final", "inf", "sim.t_final"),
+        ("--dt", "nan", "sim.dt"),
+    ])
+    def test_non_finite_override_is_parse_error(self, workdir, capsys, flag, value, field):
+        write_triangle(workdir / "tri.yaml", t_final=1.0)
+        main(["design", "tri.yaml", "-o", "g.json", "--quiet"])
+        capsys.readouterr()
+        code = main(["simulate", "tri.yaml", "g.json", "-o", "out.csv", flag, value,
+                     "--quiet"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert not (workdir / "out.csv").exists()
+
     def test_seed_override_changes_initial_row(self, workdir):
         write_triangle(workdir / "tri.yaml", t_final=1.0)
         main(["design", "tri.yaml", "-o", "g.json", "--quiet"])

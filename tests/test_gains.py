@@ -1,9 +1,13 @@
 """Gain design solver, spectrum verification, and chain-gain root checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import bcbform.gains as gains_mod
+from bcbform.cli import demo_scenario
 
 from bcbform.errors import (
     DimensionError,
@@ -116,8 +120,6 @@ class TestDesign:
             design_gains(g, spec)
 
     def test_disconnected_graph_refused_before_constraints(self, monkeypatch):
-        import bcbform.gains as gains_mod
-
         def no_constraints(*args):
             raise AssertionError("constraints built for a disconnected graph")
 
@@ -147,6 +149,79 @@ class TestDesign:
         assert np.linalg.norm(gm.assembled @ spec.q_bar_star) < 1e-7
 
 
+def circulant_graph(n, reach=3):
+    return SensingGraph(n, sorted({(min(i, (i + s - 1) % n + 1), max(i, (i + s - 1) % n + 1))
+                                   for i in range(1, n + 1) for s in range(1, reach + 1)}))
+
+
+def trilateration_graph(n):
+    """Triangle 1-2-3, then each agent sensing three earlier ones."""
+    edges = [(1, 2), (2, 3), (1, 3)]
+    for j in range(4, n + 1):
+        edges += [(j - 3, j), (j - 2, j), (j - 1, j)]
+    return SensingGraph(n, edges)
+
+
+def dense_operator(pool, k, Q):
+    """Reference r^2 x dim matrix of x -> vec(Q^T A^k(x) Q), one column per
+    unit vector, each assembled by GainMatrix.from_edge_params."""
+    cols = []
+    for u in range(pool.dim):
+        x = np.zeros(pool.dim)
+        x[u] = 1.0
+        gm = GainMatrix.from_edge_params(pool.graphs[k], pool.edge_params(k, x))
+        cols.append((Q.T @ gm.assembled @ Q).reshape(-1))
+    return np.array(cols).T
+
+
+class TestEdgeOperator:
+    def check_against_dense(self, graphs, spec):
+        Q = build_kernel_basis(spec).Q
+        r = Q.shape[1]
+        pool = gains_mod._VariablePool(graphs)
+        op = gains_mod._EdgeOperator(pool, Q)
+        Bs = [dense_operator(pool, k, Q) for k in range(len(graphs))]
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=pool.dim)
+        W = rng.normal(size=(len(graphs), r, r))
+        forward = op.forward(x)
+        for k, Bk in enumerate(Bs):
+            assert np.max(np.abs(forward[k].reshape(-1) - Bk @ x)) <= 1e-12
+        adjoint = sum(Bk.T @ W[k].reshape(-1) for k, Bk in enumerate(Bs))
+        assert np.max(np.abs(op.adjoint(W) - adjoint)) <= 1e-12
+        gram = sum(Bk.T @ Bk for Bk in Bs)
+        assert np.max(np.abs(op.gram() - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.max(np.abs(op.gram(chunk_rows=6) - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("graph", [circulant_graph(10), trilateration_graph(9),
+                                       complete_graph(7)],
+                             ids=["circulant", "trilateration", "complete"])
+    def test_matches_dense_reference(self, graph):
+        rng = np.random.default_rng(graph.n)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(graph.n, 2)))
+        self.check_against_dense([graph], spec)
+
+    def test_joint_pool_with_shared_variables(self):
+        scenario, _, _ = demo_scenario("switching9")
+        pool = gains_mod._VariablePool(list(scenario.topologies))
+        assert pool.n_classes < sum(len(g.edges) for g in scenario.topologies)
+        self.check_against_dense(list(scenario.topologies), scenario.formation)
+
+    def test_complete30_peak_memory(self):
+        # A dense r^2 x dim operator, with F = B Zn and F^T F built from it,
+        # peaks near 75 MiB here; the edge-list operator stays near 27 MiB.
+        rng = np.random.default_rng(30)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(30, 2)))
+        tracemalloc.start()
+        try:
+            gm, info = design_gains(complete_graph(30), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.converged
+        assert peak < 40 * 2**20
+
+
 class TestJointDesign:
     def setup_method(self):
         self.spec = FormationSpec.from_coordinates(
@@ -165,6 +240,12 @@ class TestJointDesign:
         assert info.converged
         for gm in mats:
             assert verify_gains(gm, basis).passed
+
+    def test_design_is_bitwise_deterministic(self):
+        first, _ = design_joint_gains(self.topos, self.spec)
+        second, _ = design_joint_gains(self.topos, self.spec)
+        for a, b in zip(first, second):
+            assert a.assembled.tobytes() == b.assembled.tobytes()
 
     def test_tie_rule_shares_identical_neighbor_sets(self):
         mats, _ = design_joint_gains(self.topos, self.spec)

@@ -154,6 +154,19 @@ class TestRun:
         report = lyapunov_monitor(log, hex_gains)
         assert report.violations == 0
 
+    @pytest.mark.parametrize("agents, controller", [
+        (AgentModel(dynamics="chain", chain_order=3),
+         ControllerConfig(k_chain=(2.0, 2.0, 3.0, 3.0))),
+        (AgentModel(), ControllerConfig(k0_int=1.0, k1_int=0.5)),
+    ], ids=["chain", "integral"])
+    def test_lyapunov_monitor_skips_chain_and_integral(self, hex_gains, agents, controller):
+        # The position-only quadratic is not the theorem's candidate here.
+        scenario, _ = hexagon_scenario(agents=agents, controller=controller)
+        log = run(scenario, hex_gains)
+        assert log.summary.lyapunov_violations is None
+        report = lyapunov_monitor(log, hex_gains)
+        assert report.violations is None and report.flagged_steps == []
+
     def test_scale_augmentation_fixes_size(self, hex_gains):
         # Unit-edge target distances pin the hexagon to circumradius 1.
         d_star = {(min(i, i % 6 + 1), max(i, i % 6 + 1)): 1.0 for i in range(1, 7)}
