@@ -45,6 +45,23 @@ class AvoidanceConfig:
         return self.r + self.margin
 
 
+def activation_candidates(positions, cfg: AvoidanceConfig) -> NDArray[np.bool_]:
+    """(n, n) mask of the pairs (i, j), i != j, that ``build_cones`` may keep.
+
+    A pair is left out only when its squared distance exceeds d_c squared
+    with a relative slack of 1e-9 on d_c, which covers the rounding between
+    squaring and ``build_cones``' own norm test.  Every pair the mask leaves
+    out is one ``build_cones`` would skip; the pairs it keeps still go
+    through that exact test.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    diff = positions[None, :, :] - positions[:, None, :]
+    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    near = ~(dist_sq > (cfg.d_c * (1.0 + 1e-9)) ** 2)
+    np.fill_diagonal(near, False)
+    return near
+
+
 @dataclass(frozen=True)
 class CollisionCone:
     """Angular region of directions that would intersect a neighbor's disc."""

@@ -8,7 +8,6 @@ the internal velocity states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +125,10 @@ def deriv_car(
     return np.stack(rows, axis=-1)
 
 
-def rear_to_front_speed(v_rear: float, phi: float) -> float:
+def rear_to_front_speed(v_rear, phi):
     """Front-axle speed from a commanded rear-wheel speed; pinned to zero at
-    phi = +-pi/2 where the rear wheels cannot move the front axle."""
-    c = math.cos(phi)
-    if abs(c) < 1e-12:
-        return 0.0
-    return v_rear / c
+    phi = +-pi/2 where the rear wheels cannot move the front axle.  Stacked
+    rows are converted elementwise."""
+    c = np.cos(phi)
+    pinned = np.abs(c) < 1e-12
+    return np.where(pinned, 0.0, v_rear / np.where(pinned, 1.0, c))[()]

@@ -20,7 +20,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import controllers as ctl
-from .collision import AvoidanceConfig, adjust_control, build_cones
+from .collision import (
+    AvoidanceConfig,
+    activation_candidates,
+    adjust_control,
+    build_cones,
+)
 from .controllers import ControllerConfig, ScaleConfig
 from .dynamics import (
     ActuatorParams,
@@ -29,6 +34,7 @@ from .dynamics import (
     deriv_single_integrator,
     deriv_unicycle,
     heading_vector,
+    rear_to_front_speed,
 )
 from .errors import ConfigurationError, DimensionError, GuaranteeViolationError
 from .gains import GainMatrix, verify_gains
@@ -300,15 +306,15 @@ def _team_command(
         u = ctl.perturb_control(u, cfg.perturbation.c, cfg.perturbation.alpha)
 
     # Collision avoidance sees every other agent's position, not just
-    # sensing-graph neighbors.
+    # sensing-graph neighbors.  An agent with no other agent within d_c gets
+    # no cone, and adjust_control returns its command unchanged, so only the
+    # candidates are visited; u is this step's own array.
     if scenario.avoidance is not None:
         positions = states[:, :2]
-        adjusted = np.empty_like(u)
-        for i in range(n):
-            others = np.delete(positions, i, axis=0)
-            cones = build_cones(positions[i], others, scenario.avoidance)
-            adjusted[i] = adjust_control(u[i], cones, scenario.avoidance)
-        u = adjusted
+        near = activation_candidates(positions, scenario.avoidance)
+        for i in np.flatnonzero(near.any(axis=1)):
+            cones = build_cones(positions[i], positions[near[i]], scenario.avoidance)
+            u[i] = adjust_control(u[i], cones, scenario.avoidance)
     return u, integral
 
 
@@ -331,10 +337,12 @@ def _project_commands(
         v, omega = ctl.unicycle_actuator_control(
             h, us, states[:, -2], cfg.actuator_mode, cfg.k_s, drive, phi
         )
-    return np.stack(
-        [ctl.saturate_scalar(v, cfg.v_max), ctl.saturate_scalar(omega, cfg.omega_max)],
-        axis=-1,
-    )
+    v = ctl.saturate_scalar(v, cfg.v_max)
+    if model.kinematic_only and drive == "rear":
+        # v_max bounds the driven rear wheels; deriv_car integrates the
+        # front-axle speed.
+        v = rear_to_front_speed(v, phi)
+    return np.stack([v, ctl.saturate_scalar(omega, cfg.omega_max)], axis=-1)
 
 
 def _rk4_step(deriv, state: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
@@ -400,6 +408,22 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         raise ConfigurationError(
             f"{len(gains)} gain matrices for {len(scenario.topologies)} topologies"
         )
+    cfg = scenario.controller
+    model = scenario.agents
+    dt = scenario.sim.dt
+    chain = model.dynamics == "chain"
+    scale = cfg.scale if not chain else None
+    integral_law = (
+        not chain and scale is None and cfg.k0_int is not None and cfg.k1_int is not None
+    )
+    # Under zero-order hold, RK4 on q' = A_k q is exactly q+ = (I + dt A_k) q,
+    # which diverges once dt >= 2/rho(A_k).  The other laws add terms to A_k.
+    linear_loop = (
+        model.dynamics == "single_integrator"
+        and scale is None
+        and cfg.perturbation is None
+        and not integral_law
+    )
     basis = build_kernel_basis(scenario.formation)
     for k, gm in enumerate(gains):
         report = verify_gains(gm, basis)
@@ -409,16 +433,18 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
                 f"(zero_count={report.zero_count}, "
                 f"kernel_residual={report.kernel_residual:.2e})"
             )
-    cfg = scenario.controller
-    model = scenario.agents
-    chain = model.dynamics == "chain"
-    scale = cfg.scale if not chain else None
+        rho = max(abs(e) for e in report.eigenvalues)
+        if linear_loop and dt * rho >= 2.0:
+            raise ConfigurationError(
+                f"sim.dt={dt:g} is not below the stability bound 2/rho(A)={2.0 / rho:.6g} "
+                f"of topology {k}; the single-integrator loop would diverge"
+            )
     orders = model.chain_order + 1 if chain and cfg.chain_variant == "full_A" else 1
     edges = [
         _edge_arrays(g, gm, scale, orders) for g, gm in zip(scenario.topologies, gains)
     ]
     integral = None
-    if not chain and scale is None and cfg.k0_int is not None and cfg.k1_int is not None:
+    if integral_law:
         if cfg.k0_int <= 0 or cfg.k1_int < 0:
             raise GuaranteeViolationError("integral control requires k0 > 0 and k1 >= 0")
         integral = (np.zeros((n, 2)), None)
@@ -430,7 +456,6 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
 
     rng = np.random.default_rng(scenario.sim.seed)
     states = _initial_states(scenario, rng)
-    dt = scenario.sim.dt
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
 
     t_arr = np.arange(steps) * dt

@@ -196,6 +196,19 @@ class TestDemo:
             scenario, names, _ = demo_scenario(name)
             assert len(names) == len(scenario.topologies)
 
+    def test_dt_beyond_stability_bound_refused_before_stepping(self, workdir, capsys):
+        # The hexagon gains have spectral radius 4/3: dt must stay below 1.5.
+        assert main(["demo", "hexagon", "--dt", "1.6", "--quiet"]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "sim.dt" in err[0] and "1.5" in err[0] and "topology 0" in err[0]
+        assert not (workdir / "hexagon.csv").exists()
+
+    def test_dt_below_stability_bound_steps(self, workdir):
+        code = main(["demo", "hexagon", "--dt", "1.4", "--quiet"])
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert (workdir / "hexagon.csv").exists()
+
     def test_triangle_demo_end_to_end(self, workdir):
         assert main(["demo", "triangle", "--quiet"]) == EXIT_OK
         for suffix in (".yaml", ".gains.json", ".csv", ".svg"):

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from bcbform.collision import AvoidanceConfig
+from bcbform import sim as sim_module
+from bcbform.collision import (
+    AvoidanceConfig,
+    activation_candidates,
+    adjust_control,
+    build_cones,
+)
 from bcbform.controllers import (
     ControllerConfig,
     IntegralState,
@@ -19,6 +25,7 @@ from bcbform.controllers import (
     rotation,
     scale_augmented_control,
 )
+from bcbform.dynamics import heading_vector
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
 from bcbform.gains import GainMatrix, design_gains
 from bcbform.geometry import FormationSpec, SensingGraph, min_pairwise_distance
@@ -201,6 +208,26 @@ class TestRun:
         with pytest.raises(ConfigurationError, match="no gain block"):
             run(scenario, hex_gains)
 
+    def test_kinematic_rear_drive_car_moves_front_axle_at_full_speed(self, hex_gains):
+        # The rear wheels turn at cos(phi) g^T u, which drives the front axle
+        # at g^T u; one step moves it by dt g^T u along the steering direction.
+        rng = np.random.default_rng(7)
+        states = np.column_stack([rng.uniform(-2.0, 2.0, size=(6, 2)),
+                                  rng.uniform(-math.pi, math.pi, size=6),
+                                  np.full(6, math.pi / 4)])
+        sim = SimConfig(dt=0.01, t_final=0.02,
+                        init=InitSpec(kind="explicit", states=states))
+        car, _ = hexagon_scenario(agents=AgentModel(dynamics="car", drive="rear"),
+                                  sim=sim)
+        holonomic, _ = hexagon_scenario(sim=dataclasses.replace(
+            sim, init=InitSpec(kind="explicit", states=states[:, :2])))
+        u = run(holonomic, hex_gains).commands[0]
+        g = heading_vector(states[:, 2] + states[:, 3])
+        log = run(car, hex_gains)
+        moved = log.states[1, :, :2] - log.states[0, :, :2]
+        assert np.allclose(np.sum(moved * g, axis=1), 0.01 * np.sum(g * u, axis=1),
+                           rtol=1e-4, atol=0.0)
+
     def test_measurement_noise_perturbs_reproducibly(self, hex_gains):
         clean, _ = hexagon_scenario(sim=SimConfig(t_final=5.0, seed=3))
         noisy, _ = hexagon_scenario(
@@ -300,6 +327,72 @@ class TestTeamStep:
             want = reference_commands(scenario, hex_gains[0], log.states[k],
                                       integrals, draws)
             assert np.max(np.abs(log.commands[k] - want)) < 1e-12
+
+
+GRID9 = [(c, -r) for r in range(3) for c in range(3)]
+AVOID = AvoidanceConfig(r=0.1, d_c=0.25, margin=0.01)
+
+
+def reference_avoidance(u, positions, cfg):
+    """Every agent against all the others, in index order."""
+    out = np.empty_like(u)
+    for i in range(len(u)):
+        cones = build_cones(positions[i], np.delete(positions, i, axis=0), cfg)
+        out[i] = adjust_control(u[i], cones, cfg)
+    return out
+
+
+class TestAvoidancePrefilter:
+    # Agents 1-2 coincide; 3-4 are exactly d_c apart by build_cones' norm,
+    # while their squared distance rounds one ulp above d_c**2; 5-6 are
+    # inside r; 7-8 are 1e-12 beyond d_c, inside the candidate slack; 9 is
+    # alone.
+    CROWDED = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0 + 2.0**-28, 0.25],
+                        [4.0, 0.0], [4.05, 0.0], [6.0, 0.0], [6.25 + 1e-12, 0.0],
+                        [10.0, 10.0]])
+
+    @pytest.fixture(scope="class")
+    def grid9(self):
+        spec = FormationSpec.from_coordinates(GRID9)
+        graph = SensingGraph(9, [(i, j) for i in range(1, 10) for j in range(i + 1, 10)])
+        gm, _ = design_gains(graph, spec)
+        return spec, graph, [gm]
+
+    def scenario(self, grid9, t_final):
+        spec, graph, _ = grid9
+        return Scenario(
+            formation=spec, topologies=(graph,), schedule=((0.0, 0),), avoidance=AVOID,
+            sim=SimConfig(t_final=t_final,
+                          init=InitSpec(kind="explicit", states=self.CROWDED)),
+        )
+
+    def check_steps(self, scenario, gains, log):
+        """Each logged command equals the reference applied to that step's
+        unadjusted command; returns how many commands avoidance changed."""
+        plain = dataclasses.replace(scenario, avoidance=None)
+        edges = sim_module._edge_arrays(scenario.topologies[0], gains[0], None, 1)
+        changed = 0
+        for k in range(log.t.size):
+            u, _ = sim_module._team_command(plain, edges, log.states[k], None,
+                                            scenario.sim.dt, None)
+            want = reference_avoidance(u, log.states[k], scenario.avoidance)
+            assert np.array_equal(log.commands[k], want)
+            changed += int(np.sum(np.any(want != u, axis=1)))
+        return changed
+
+    def test_crowded_step_matches_per_agent_reference(self, grid9):
+        near = activation_candidates(self.CROWDED, AVOID)
+        assert near[0, 1] and near[2, 3] and near[4, 5] and near[6, 7]
+        assert not near[8].any() and not near.diagonal().any()
+        scenario = self.scenario(grid9, t_final=0.02)
+        log = run(scenario, grid9[2])
+        assert self.check_steps(scenario, grid9[2], log) > 0
+
+    def test_run_matches_per_agent_reference(self, grid9):
+        scenario = self.scenario(grid9, t_final=1.995)
+        log = run(scenario, grid9[2])
+        assert log.t.size == 200
+        assert self.check_steps(scenario, grid9[2], log) > 0
 
 
 class TestSwitching:
