@@ -27,16 +27,10 @@ from .errors import (
     JointInfeasibilityError,
     SolverFailureError,
 )
-from .gains import (
-    SolverOptions,
-    design_gains,
-    design_joint_gains,
-    verify_gains,
-    verify_higher_order_gains,
-)
+from .gains import SolverOptions, design_gains, design_joint_gains, verify_gains
 from .geometry import FormationSpec, SensingGraph, build_kernel_basis
 from .io import load_gains, load_scenario, save_gains, save_scenario
-from .sim import AgentModel, InitSpec, Scenario, SimConfig, run, write_csv
+from .sim import AgentModel, InitSpec, Scenario, SimConfig, check_gains, run, write_csv
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -62,8 +56,9 @@ def _fail(msg: str) -> None:
 # SVG plotting
 
 
-def write_svg(path: str, log, scenario: Scenario, size: int = 640) -> None:
+def write_svg(path: str, log, scenario: Scenario) -> None:
     """Trajectory plot: per-agent polylines, start markers, final formation."""
+    size = 640  # pixels per side
     pos = log.positions()
     n = pos.shape[1]
     xs = pos[:, :, 0]
@@ -143,10 +138,7 @@ def cmd_design(args) -> int:
     except (OSError, ConfigurationError, BcbformError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    opts = SolverOptions(
-        trace_budget=args.trace_budget,
-        algorithm=args.algorithm,
-    )
+    opts = SolverOptions(trace_budget=args.trace_budget, algorithm=args.algorithm)
     try:
         if len(scenario.topologies) > 1:
             mats, info = design_joint_gains(list(scenario.topologies), scenario.formation, opts)
@@ -171,39 +163,6 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _verify_against_scenario(mats, scenario, quiet: bool) -> int:
-    basis = build_kernel_basis(scenario.formation)
-    if len(mats) != len(scenario.topologies):
-        _fail(f"{len(mats)} gain matrices for {len(scenario.topologies)} topologies")
-        return EXIT_INFEASIBLE
-    code = EXIT_OK
-    for k, gm in enumerate(mats):
-        rep = verify_gains(gm, basis)
-        _say(quiet, f"topology {k}: zero_count={rep.zero_count} "
-             f"gap={rep.spectral_gap:.6g} kernel_residual={rep.kernel_residual:.3g} "
-             f"{'PASS' if rep.passed else 'FAIL'}")
-        if not rep.passed:
-            _fail(f"topology {k}: spectrum verification failed")
-            code = EXIT_INFEASIBLE
-            continue
-        if scenario.agents.dynamics == "chain":
-            eig = np.array(rep.eigenvalues)
-            mus = eig[np.abs(eig) > rep.zero_tolerance]
-            root_rep = verify_higher_order_gains(
-                mus, list(scenario.controller.k_chain),
-                scenario.controller.chain_variant,
-            )
-            _say(quiet, f"topology {k}: chain root check "
-                 f"{'PASS' if root_rep.passed else 'FAIL'} "
-                 f"(worst real part {root_rep.worst[1]:.4g} at mu={root_rep.worst[0]:.4g})")
-            if not root_rep.passed:
-                mu, worst = root_rep.worst
-                _fail(f"topology {k}: chain gains unstable at mu={mu:.6g} "
-                      f"(closed-loop real part {worst:.6g})")
-                code = EXIT_INFEASIBLE
-    return code
-
-
 def cmd_verify(args) -> int:
     try:
         mats, _ = load_gains(args.gains)
@@ -211,7 +170,24 @@ def cmd_verify(args) -> int:
     except (OSError, ConfigurationError, BcbformError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    return _verify_against_scenario(mats, scenario, args.quiet)
+    try:
+        checks = check_gains(scenario, mats, build_kernel_basis(scenario.formation))
+    except ConfigurationError as exc:
+        _fail(str(exc))
+        return EXIT_INFEASIBLE
+    code = EXIT_OK
+    for k, (rep, roots, failure) in enumerate(checks):
+        _say(args.quiet, f"topology {k}: zero_count={rep.zero_count} "
+             f"gap={rep.spectral_gap:.6g} kernel_residual={rep.kernel_residual:.3g} "
+             f"{'PASS' if rep.passed else 'FAIL'}")
+        if roots is not None:
+            _say(args.quiet, f"topology {k}: chain root check "
+                 f"{'PASS' if roots.passed else 'FAIL'} "
+                 f"(worst real part {roots.worst[1]:.4g} at mu={roots.worst[0]:.4g})")
+        if failure is not None:
+            _fail(failure)
+            code = EXIT_INFEASIBLE
+    return code
 
 
 def cmd_simulate(args) -> int:
@@ -222,9 +198,6 @@ def cmd_simulate(args) -> int:
     except (OSError, ConfigurationError, BcbformError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    code = _verify_against_scenario(mats, scenario, quiet=True)
-    if code != EXIT_OK:
-        return code
     try:
         log = run(scenario, mats)
     except (GuaranteeViolationError, ConfigurationError) as exc:

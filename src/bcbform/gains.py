@@ -34,6 +34,11 @@ _I2 = np.eye(2)
 _K2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+MAX_ITERATIONS = 20000  # per solve, either algorithm
+PRIMAL_TOL = DUAL_TOL = 1e-9  # absolute ADMM stopping tolerances
+ADMM_RHO = 1.0  # ADMM penalty parameter
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for the gain design solve.
@@ -43,24 +48,13 @@ class SolverOptions:
     """
 
     trace_budget: float | None = None
-    max_iterations: int = 20000
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
-    zero_tolerance: float | None = None
     algorithm: str = "admm"  # or "projected_subgradient"
-    rho: float = 1.0
-    pd_floor: float | None = None
 
     def resolved_trace(self, n: int) -> float:
         t = self.trace_budget if self.trace_budget is not None else -(2.0 * n - 4.0)
         if t >= 0:
             raise DimensionError("trace budget must be negative")
         return t
-
-    def resolved_floor(self, n: int) -> float:
-        if self.pd_floor is not None:
-            return self.pd_floor
-        return 1e-6 * abs(self.resolved_trace(n)) / (2 * n - 4)
 
 
 @dataclass(frozen=True)
@@ -138,17 +132,12 @@ def reduced_matrix(A: NDArray[np.floating], basis: KernelBasis) -> NDArray[np.fl
     return basis.Q.T @ A @ basis.Q
 
 
-def verify_gains(
-    A: GainMatrix | NDArray[np.floating],
-    basis: KernelBasis,
-    zero_tol: float | None = None,
-) -> SpectrumReport:
-    """Check the spectrum conditions: four zero eigenvalues, rest negative."""
+def verify_gains(A: GainMatrix | NDArray[np.floating], basis: KernelBasis) -> SpectrumReport:
+    """Spectrum check: four zero eigenvalues (to 1e-6 relative), rest negative."""
     mat = A.assembled if isinstance(A, GainMatrix) else np.asarray(A, dtype=np.float64)
     eig = np.sort(np.linalg.eigvalsh(mat))[::-1]
     max_abs = float(np.max(np.abs(eig))) if eig.size else 0.0
-    if zero_tol is None:
-        zero_tol = 1e-6 * max_abs if max_abs > 0 else 1e-12
+    zero_tol = 1e-6 * max_abs if max_abs > 0 else 1e-12
     zero_count = int(np.sum(np.abs(eig) <= zero_tol))
     gap = float(-eig[4]) if eig.size > 4 else 0.0
     residuals = []
@@ -387,10 +376,12 @@ def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
-    """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, x in affine set."""
+    """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, x in affine set.
+
+    ``opts`` is not read: the tolerances, cap and penalty are constants."""
     dim_y = Zn.shape[1]
     m_top, r = op.m, op.r
-    rho = opts.rho
+    rho = ADMM_RHO
     eye = np.eye(r)
     offs = op.forward(x0)
     # F = B Zn and e = vec(I) per topology; only F^T F and F^T e are formed.
@@ -412,7 +403,7 @@ def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
     rhs = np.empty(dim_y + 1)
     primal = dual = np.inf
     it = 0
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         # (x, gamma)-update: equality-constrained least squares.
         c = offs + (Z + Y / rho)
         rhs[:dim_y] = -(Zn.T @ op.adjoint(c))
@@ -429,10 +420,10 @@ def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
         Y = Y + rho * R
         primal = np.sqrt(primal_acc) / scale
         dual = rho * np.sqrt(dual_acc) / scale
-        if primal < opts.primal_tol and dual < opts.dual_tol:
+        if primal < PRIMAL_TOL and dual < DUAL_TOL:
             break
     x = x0 + Zn @ y
-    converged = primal < opts.primal_tol and dual < opts.dual_tol
+    converged = primal < PRIMAL_TOL and dual < DUAL_TOL
     return x, SolveInfo(
         algorithm="admm",
         iterations=it,
@@ -443,7 +434,7 @@ def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
     )
 
 
-def _subgradient_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
+def _subgradient_solve(op: _EdgeOperator, Zn, x0):
     """Projected subgradient ascent on gamma(x) = min_k lambda_1(-Abar^k(x))."""
     offs = op.forward(x0)
     y = np.zeros(Zn.shape[1])
@@ -451,7 +442,7 @@ def _subgradient_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
     best_gamma = -np.inf
     step0 = 1.0
     it = 0
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         w, V = np.linalg.eigh(-(op.forward(Zn @ y) + offs))
         k_min = int(np.argmin(w[:, 0]))
         gamma = w[k_min, 0]
@@ -499,7 +490,7 @@ def _design(
     x0, Zn = _affine_parametrization(G, h)
     op = _EdgeOperator(pool, basis.Q)
     if opts.algorithm == "projected_subgradient":
-        x, info = _subgradient_solve(op, Zn, x0, opts)
+        x, info = _subgradient_solve(op, Zn, x0)
     elif opts.algorithm == "admm":
         x, info = _admm_solve(op, Zn, x0, opts)
     else:
@@ -508,7 +499,8 @@ def _design(
     # Exact achieved objective, independent of the solver's running estimate.
     gamma = float(np.linalg.eigvalsh(-op.forward(x))[:, 0].min())
     info = replace(info, gamma=gamma)
-    floor = opts.resolved_floor(n)
+    # Smallest gamma accepted: 1e-6 of the mean nonzero eigenvalue magnitude.
+    floor = 1e-6 * abs(trace_per) / (2 * n - 4)
     if gamma <= floor:
         if joint and len(graphs) > 1:
             ties = [
@@ -528,7 +520,7 @@ def _design(
         )
     if not info.converged and opts.algorithm == "admm":
         raise SolverFailureError(
-            f"ADMM did not converge in {opts.max_iterations} iterations",
+            f"ADMM did not converge in {MAX_ITERATIONS} iterations",
             primal_residual=info.primal_residual,
             dual_residual=info.dual_residual,
         )

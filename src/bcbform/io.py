@@ -26,12 +26,22 @@ SCENARIO_VERSION = 1
 GAINS_VERSION = 1
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+def _check_keys(d: dict, allowed: set[str], where: str, required=()) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ConfigurationError(f"{where} missing required key(s) {missing}")
+
+
+def _row(entry, size: int, where: str):
+    """``entry`` if it is a list of exactly ``size`` items."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != size:
+        raise ConfigurationError(f"bad {where} entry {entry!r}; expected {size} items")
+    return entry
 
 
 def _finite(value, field: str) -> np.ndarray:
@@ -144,17 +154,14 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
         {"version", "formation", "graphs", "schedule", "agents", "controller",
          "avoidance", "sim", "frame_angles"},
         "scenario",
+        ("formation", "graphs", "schedule"),
     )
     if doc.get("version") != SCENARIO_VERSION:
         raise ConfigurationError(
             f"unsupported scenario version {doc.get('version')!r}"
         )
-    for section in ("formation", "graphs", "schedule"):
-        if section not in doc:
-            raise ConfigurationError(f"scenario missing required section {section!r}")
-
     formation_doc = doc["formation"]
-    _check_keys(formation_doc, {"coordinates", "center"}, "formation")
+    _check_keys(formation_doc, {"coordinates", "center"}, "formation", ("coordinates",))
     coords = _finite(formation_doc["coordinates"], "formation.coordinates")
     formation = FormationSpec.from_coordinates(
         coords, center=formation_doc.get("center", True)
@@ -165,14 +172,14 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     if not isinstance(graphs_doc, dict) or not graphs_doc:
         raise ConfigurationError("graphs must be a nonempty mapping of name -> edges")
     graph_names = list(graphs_doc)
-    topologies = tuple(
-        SensingGraph(n, [(int(i), int(j)) for i, j in edges])
-        for edges in graphs_doc.values()
-    )
+    topologies = []
+    for name, edges in graphs_doc.items():
+        pairs = [_row(e, 2, f"graphs.{name}") for e in edges]
+        topologies.append(SensingGraph(n, [(int(i), int(j)) for i, j in pairs]))
 
     schedule = []
     for entry in doc["schedule"]:
-        t, name = entry
+        t, name = _row(entry, 2, "schedule")
         if name not in graph_names:
             raise ConfigurationError(f"schedule references unknown graph {name!r}")
         schedule.append((float(t), graph_names.index(name)))
@@ -208,7 +215,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     scale = None
     if "scale" in ctl_doc:
         sdoc = ctl_doc["scale"]
-        _check_keys(sdoc, {"d_star", "f_kind", "k_f"}, "controller.scale")
+        _check_keys(sdoc, {"d_star", "f_kind", "k_f"}, "controller.scale", ("d_star",))
         scale = ScaleConfig(
             d_star={_parse_edge_key(k): float(v) for k, v in sdoc["d_star"].items()},
             f_kind=sdoc.get("f_kind", "tanh"),
@@ -246,7 +253,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     avoidance = None
     if "avoidance" in doc:
         adoc = doc["avoidance"]
-        _check_keys(adoc, {"r", "d_c", "margin"}, "avoidance")
+        _check_keys(adoc, {"r", "d_c", "margin"}, "avoidance", ("r", "d_c"))
         avoidance = AvoidanceConfig(
             r=float(adoc["r"]), d_c=float(adoc["d_c"]),
             margin=float(adoc.get("margin", 0.0)),
@@ -260,8 +267,9 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
         "sim",
     )
     init_doc = sim_doc.get("init", {"kind": "box"})
-    _check_keys(init_doc, {"kind", "low", "high", "states"}, "sim.init")
     kind = init_doc.get("kind", "box")
+    _check_keys(init_doc, {"kind", "low", "high", "states"}, "sim.init",
+                ("states",) if kind == "explicit" else ())
     if kind == "explicit":
         init = InitSpec(
             kind="explicit",
@@ -291,7 +299,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
 
     scenario = Scenario(
         formation=formation,
-        topologies=topologies,
+        topologies=tuple(topologies),
         schedule=tuple(schedule),
         agents=model,
         controller=controller,
@@ -378,17 +386,17 @@ def load_gains(path: str) -> tuple[list[GainMatrix], dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"cannot parse gains file {path}: {exc}") from exc
-    _check_keys(doc, {"version", "n", "trace_budget", "matrices", "solver"}, "gains")
+    _check_keys(doc, {"version", "n", "trace_budget", "matrices", "solver"}, "gains",
+                ("n", "matrices"))
     if doc.get("version") != GAINS_VERSION:
         raise ConfigurationError(f"unsupported gains version {doc.get('version')!r}")
     n = int(doc["n"])
     matrices = []
     for entry in doc["matrices"]:
-        _check_keys(entry, {"edges", "spectrum"}, "gains.matrices[]")
-        edges = [(int(i), int(j)) for i, j, _, _ in entry["edges"]]
-        params = {
-            (int(i), int(j)): (float(a), float(b)) for i, j, a, b in entry["edges"]
-        }
+        _check_keys(entry, {"edges", "spectrum"}, "gains.matrices[]", ("edges",))
+        rows = [_row(e, 4, "gains.matrices[].edges") for e in entry["edges"]]
+        edges = [(int(i), int(j)) for i, j, _, _ in rows]
+        params = {(int(i), int(j)): (float(a), float(b)) for i, j, a, b in rows}
         graph = SensingGraph(n, edges)
         matrices.append(GainMatrix.from_edge_params(graph, params))
     return matrices, doc

@@ -37,9 +37,10 @@ from .dynamics import (
     rear_to_front_speed,
 )
 from .errors import ConfigurationError, DimensionError, GuaranteeViolationError
-from .gains import GainMatrix, verify_gains
+from .gains import GainMatrix, verify_gains, verify_higher_order_gains
 from .geometry import (
     FormationSpec,
+    KernelBasis,
     SensingGraph,
     build_kernel_basis,
     formation_error,
@@ -52,6 +53,7 @@ DYNAMICS_CLASSES = ("single_integrator", "chain", "unicycle", "car")
 
 CONVERGENCE_THRESHOLD = 1e-3
 CONVERGENCE_SUSTAIN = 1.0  # seconds below threshold before declaring success
+MONITOR_REL_TOL = 1e-7  # Lyapunov monitor slack, relative to the first value
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,12 @@ class InitSpec:
     low: tuple[float, float] = (-5.0, -5.0)
     high: tuple[float, float] = (5.0, 5.0)
     states: NDArray[np.float64] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("box", "explicit"):
+            raise ConfigurationError(
+                f"unknown init kind {self.kind!r}; expected 'box' or 'explicit'"
+            )
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,13 @@ class Scenario:
         for _, idx in self.schedule:
             if not (0 <= idx < len(self.topologies)):
                 raise ConfigurationError(f"schedule topology index {idx} out of range")
+        if self.sim.init.kind == "explicit":
+            shape = np.shape(self.sim.init.states)
+            n, dim = self.formation.n, self.agents.state_dim()
+            if shape not in ((n, 2), (n, dim)):
+                raise ConfigurationError(
+                    f"sim.init.states has shape {shape}; expected ({n}, 2) or ({n}, {dim})"
+                )
 
 
 def active_topology(schedule, t: float) -> int:
@@ -181,22 +196,13 @@ def _initial_states(scenario: Scenario, rng: np.random.Generator) -> NDArray[np.
     init = scenario.sim.init
     states = np.zeros((n, dim))
     if init.kind == "explicit":
-        given = np.asarray(init.states, dtype=np.float64)
-        if given.shape == (n, 2):
-            states[:, :2] = given
-        elif given.shape == (n, dim):
-            states = given.copy()
-        else:
-            raise ConfigurationError(
-                f"explicit init shape {given.shape} matches neither (n,2) nor (n,{dim})"
-            )
-    elif init.kind == "box":
-        low = np.asarray(init.low, dtype=np.float64)
-        high = np.asarray(init.high, dtype=np.float64)
-        states[:, :2] = rng.uniform(low, high, size=(n, 2))
-    else:
-        raise ConfigurationError(f"unknown init kind {init.kind!r}")
-    if model.dynamics in ("unicycle", "car") and init.kind != "explicit":
+        # Scenario has checked the shape: (n, 2) positions or full states.
+        states[:, : np.shape(init.states)[1]] = init.states
+        return states
+    low = np.asarray(init.low, dtype=np.float64)
+    high = np.asarray(init.high, dtype=np.float64)
+    states[:, :2] = rng.uniform(low, high, size=(n, 2))
+    if model.dynamics in ("unicycle", "car"):
         states[:, 2] = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return states
 
@@ -400,14 +406,42 @@ def _quadratic_values(q: NDArray[np.float64], topo: NDArray[np.int64], gains):
     return out
 
 
-def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
-    """Simulate the scenario; deterministic for fixed (scenario, gains)."""
-    start = _time.perf_counter()
-    n = scenario.formation.n
+def check_gains(scenario: Scenario, gains: list[GainMatrix], basis: KernelBasis):
+    """Admission test per topology: (spectrum report, chain root report or None,
+    failure message or None).  The spectrum needs four zero eigenvalues and the
+    rest negative; chain agents, once it passes, also need every closed-loop
+    root in the open left half-plane."""
     if len(gains) != len(scenario.topologies):
         raise ConfigurationError(
             f"{len(gains)} gain matrices for {len(scenario.topologies)} topologies"
         )
+    cfg = scenario.controller
+    out = []
+    for k, gm in enumerate(gains):
+        report = verify_gains(gm, basis)
+        roots = failure = None
+        if not report.passed:
+            failure = (f"topology {k}: spectrum verification failed "
+                       f"(zero_count={report.zero_count}, "
+                       f"kernel_residual={report.kernel_residual:.2e})")
+        elif scenario.agents.dynamics == "chain":
+            eig = np.array(report.eigenvalues)
+            mus = eig[np.abs(eig) > report.zero_tolerance]
+            roots = verify_higher_order_gains(mus, list(cfg.k_chain), cfg.chain_variant)
+            if not roots.passed:
+                mu, worst = roots.worst
+                failure = (f"topology {k}: chain gains unstable at mu={mu:.6g} "
+                           f"(closed-loop real part {worst:.6g})")
+        out.append((report, roots, failure))
+    return out
+
+
+def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
+    """Simulate the scenario; deterministic for fixed (scenario, gains).
+
+    Gains that fail ``check_gains`` are refused before stepping."""
+    start = _time.perf_counter()
+    n = scenario.formation.n
     cfg = scenario.controller
     model = scenario.agents
     dt = scenario.sim.dt
@@ -425,14 +459,9 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         and not integral_law
     )
     basis = build_kernel_basis(scenario.formation)
-    for k, gm in enumerate(gains):
-        report = verify_gains(gm, basis)
-        if not report.passed:
-            raise GuaranteeViolationError(
-                f"gain matrix for topology {k} fails spectrum verification "
-                f"(zero_count={report.zero_count}, "
-                f"kernel_residual={report.kernel_residual:.2e})"
-            )
+    for k, (report, _, failure) in enumerate(check_gains(scenario, gains, basis)):
+        if failure is not None:
+            raise GuaranteeViolationError(failure)
         rho = max(abs(e) for e in report.eigenvalues)
         if linear_loop and dt * rho >= 2.0:
             raise ConfigurationError(
@@ -531,7 +560,6 @@ def lyapunov_monitor_arrays(
     gains: list[GainMatrix],
     model: AgentModel,
     dt: float,
-    tol_scale: float = 1e-7,
 ) -> MonitorReport:
     """Flag steps where the active theorem's Lyapunov candidate increases.
 
@@ -560,7 +588,7 @@ def lyapunov_monitor_arrays(
     before = candidate(slice(0, steps - 1))
     inc = candidate(slice(1, steps)) - before
     # Integrator-order slack grows with dt^4 truncation plus command-hold error.
-    tol = tol_scale * max(float(before[0]), 1.0) + 1e-9
+    tol = MONITOR_REL_TOL * max(float(before[0]), 1.0) + 1e-9
     flagged = np.flatnonzero(inc > tol)
     return MonitorReport(
         violations=int(flagged.size),
@@ -569,9 +597,7 @@ def lyapunov_monitor_arrays(
     )
 
 
-def lyapunov_monitor(
-    log: TrajectoryLog, gains: list[GainMatrix], tol_scale: float = 1e-7
-) -> MonitorReport:
+def lyapunov_monitor(log: TrajectoryLog, gains: list[GainMatrix]) -> MonitorReport:
     """Post-hoc Lyapunov descent check over a finished trajectory log.
 
     A log whose run was not checked (chain or integral dynamics) stays
@@ -579,8 +605,7 @@ def lyapunov_monitor(
     if log.summary.lyapunov_violations is None:
         return MonitorReport.unchecked()
     return lyapunov_monitor_arrays(
-        log.states, log.topology_index, gains, log.agents, float(log.t[1] - log.t[0]),
-        tol_scale,
+        log.states, log.topology_index, gains, log.agents, float(log.t[1] - log.t[0])
     )
 
 

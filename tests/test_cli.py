@@ -6,6 +6,9 @@ import math
 import pytest
 import yaml
 
+from bcbform import cli as cli_module
+from bcbform import gains as gains_module
+from bcbform import sim as sim_module
 from bcbform.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_CONVERGENCE,
@@ -34,6 +37,70 @@ def write_triangle(path, edges=((1, 2), (2, 3), (1, 3)), **sim_kw):
         sim=SimConfig(**sim_kw) if sim_kw else SimConfig(),
     )
     save_scenario(str(path), scenario)
+
+
+def rewrite(path, mutate, loader=yaml.safe_load, dumper=yaml.safe_dump):
+    """Apply ``mutate`` to the document stored at ``path``."""
+    doc = loader(path.read_text())
+    mutate(doc)
+    path.write_text(dumper(doc))
+
+
+# Each malformed document, the command that reads it, and the key or entry
+# its one error line must name.
+MALFORMED = {
+    "init_without_states": (
+        "scenario", lambda d: d["sim"].update(init={"kind": "explicit"}), "'states'"),
+    "formation_without_coordinates": (
+        "scenario", lambda d: d["formation"].pop("coordinates"), "'coordinates'"),
+    "avoidance_without_r": (
+        "scenario", lambda d: d.update(avoidance={"d_c": 0.25}), "'r'"),
+    "scale_without_d_star": (
+        "scenario", lambda d: d["controller"].update(scale={"k_f": 1.0}), "'d_star'"),
+    "one_element_schedule_entry": (
+        "scenario", lambda d: d.update(schedule=[[0.0]]), "schedule entry [0.0]"),
+    "three_element_graph_edge": (
+        "scenario", lambda d: d["graphs"]["g0"].__setitem__(0, [1, 2, 3]),
+        "graphs.g0 entry [1, 2, 3]"),
+    "gains_without_n": ("gains", lambda d: d.pop("n"), "'n'"),
+    "matrix_without_edges": (
+        "gains", lambda d: d["matrices"][0].pop("edges"), "'edges'"),
+    "three_element_gain_edge": (
+        "gains", lambda d: d["matrices"][0]["edges"].__setitem__(0, [1, 2, 0.5]),
+        "edges entry [1, 2, 0.5]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_one_line_parse_error(workdir, capsys, case):
+    target, mutate, named = MALFORMED[case]
+    write_triangle(workdir / "tri.yaml")
+    assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+    if target == "scenario":
+        rewrite(workdir / "tri.yaml", mutate)
+    else:
+        rewrite(workdir / "g.json", mutate, json.loads, json.dumps)
+    capsys.readouterr()
+    assert main(["verify", "g.json", "tri.yaml", "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize("init, named", [
+    ({"kind": "explicit", "states": [[0.0, 0.0, 0.0]] * 3}, "(3, 3)"),
+    ({"kind": "grid"}, "'grid'"),
+], ids=["explicit_3x3", "grid"])
+def test_malformed_init_refused_at_load(workdir, capsys, init, named):
+    write_triangle(workdir / "tri.yaml")
+    assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+    rewrite(workdir / "tri.yaml", lambda d: d["sim"].update(init=init))
+    capsys.readouterr()
+    assert main(["design", "tri.yaml", "-o", "h.json", "--quiet"]) == EXIT_PARSE
+    assert main(["simulate", "tri.yaml", "g.json", "-o", "out.csv",
+                 "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(named in line for line in err)
+    assert not (workdir / "h.json").exists() and not (workdir / "out.csv").exists()
 
 
 class TestDesign:
@@ -169,6 +236,24 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
         assert not (workdir / "out.csv").exists()
+
+    def test_gains_checked_once_per_topology(self, workdir, monkeypatch):
+        scenario, names, _ = demo_scenario("switching9")
+        save_scenario("sw.yaml", scenario, names)
+        assert main(["design", "sw.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+        calls = []
+        real = gains_module.verify_gains
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (cli_module, sim_module, gains_module):
+            monkeypatch.setattr(module, "verify_gains", counted)
+        code = main(["simulate", "sw.yaml", "g.json", "-o", "out.csv",
+                     "--t-final", "0.5", "--quiet"])
+        assert code == EXIT_NO_CONVERGENCE
+        assert len(calls) == len(scenario.topologies) == 4
 
     def test_seed_override_changes_initial_row(self, workdir):
         write_triangle(workdir / "tri.yaml", t_final=1.0)

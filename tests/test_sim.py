@@ -94,6 +94,15 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             Scenario(formation=spec, topologies=(g,), schedule=((0.0, 3),))
 
+    def test_init_checked_when_built(self):
+        spec = FormationSpec.from_coordinates(HEX_POINTS)
+        g = SensingGraph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+        with pytest.raises(ConfigurationError, match="init kind"):
+            InitSpec(kind="grid")
+        bad = SimConfig(init=InitSpec(kind="explicit", states=np.zeros((6, 3))))
+        with pytest.raises(ConfigurationError, match=r"\(6, 3\)"):
+            Scenario(formation=spec, topologies=(g,), schedule=((0.0, 0),), sim=bad)
+
     def test_sim_config_validation(self):
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.0)
@@ -138,6 +147,19 @@ class TestRun:
         with pytest.raises(GuaranteeViolationError):
             run(scenario, [GainMatrix.from_edge_params(graph, params)])
 
+    def test_unstable_chain_gains_refused(self, hex_gains):
+        # On the hexagon spectrum {-2/3, -4/3} these chain gains put a
+        # closed-loop root in the right half-plane.
+        scenario, _ = hexagon_scenario(
+            agents=AgentModel(dynamics="chain", chain_order=3),
+            controller=ControllerConfig(k_chain=(2.0, 2.0, 3.0, 3.0)),
+        )
+        with pytest.raises(GuaranteeViolationError) as exc:
+            run(scenario, hex_gains)
+        msg = str(exc.value)
+        assert "topology 0" in msg and "mu=-1.33333" in msg
+        assert float(msg.rsplit("real part ", 1)[1].rstrip(")")) > 0.0
+
     def test_gain_count_must_match_topologies(self, hex_gains):
         scenario, _ = hexagon_scenario()
         with pytest.raises(ConfigurationError):
@@ -163,7 +185,7 @@ class TestRun:
 
     @pytest.mark.parametrize("agents, controller", [
         (AgentModel(dynamics="chain", chain_order=3),
-         ControllerConfig(k_chain=(2.0, 2.0, 3.0, 3.0))),
+         ControllerConfig(k_chain=(1.0, 4.0, 6.0, 4.0))),
         (AgentModel(), ControllerConfig(k0_int=1.0, k1_int=0.5)),
     ], ids=["chain", "integral"])
     def test_lyapunov_monitor_skips_chain_and_integral(self, hex_gains, agents, controller):
@@ -240,7 +262,7 @@ class TestRun:
         assert np.array_equal(a.commands, b.commands)
 
 
-CHAIN_K = (2.0, 2.0, 3.0, 3.0)
+CHAIN_K = (1.0, 4.0, 6.0, 4.0)  # root-stable on the hexagon spectrum
 HEX_D_STAR = {(min(i, i % 6 + 1), max(i, i % 6 + 1)): 1.0 for i in range(1, 7)}
 TEAM_LAWS = {
     "consensus": (AgentModel(), ControllerConfig()),
