@@ -27,7 +27,7 @@ from .errors import (
     JointInfeasibilityError,
     SolverFailureError,
 )
-from .gains import SolverOptions, design_gains, design_joint_gains, verify_gains
+from .gains import SolverOptions, design_joint_gains, verify_gains
 from .geometry import FormationSpec, SensingGraph, build_kernel_basis
 from .io import load_gains, load_scenario, save_gains, save_scenario
 from .sim import AgentModel, InitSpec, Scenario, SimConfig, check_gains, run, write_csv
@@ -138,13 +138,9 @@ def cmd_design(args) -> int:
     except (OSError, ConfigurationError, BcbformError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
-    opts = SolverOptions(trace_budget=args.trace_budget, algorithm=args.algorithm)
+    opts = SolverOptions(trace_budget=args.trace_budget)
     try:
-        if len(scenario.topologies) > 1:
-            mats, info = design_joint_gains(list(scenario.topologies), scenario.formation, opts)
-        else:
-            gm, info = design_gains(scenario.topologies[0], scenario.formation, opts)
-            mats = [gm]
+        mats, info = design_joint_gains(list(scenario.topologies), scenario.formation, opts)
     except (InfeasibleTopologyError, JointInfeasibilityError, SolverFailureError) as exc:
         _fail(str(exc))
         return EXIT_INFEASIBLE
@@ -374,10 +370,8 @@ def cmd_demo(args) -> int:
     save_scenario(scenario_path, scenario, names)
     _say(args.quiet, f"wrote {scenario_path}")
 
-    design_args = argparse.Namespace(
-        scenario=scenario_path, out=gains_path, quiet=args.quiet,
-        trace_budget=opts.trace_budget, algorithm=opts.algorithm,
-    )
+    design_args = argparse.Namespace(scenario=scenario_path, out=gains_path,
+                                     quiet=args.quiet, trace_budget=opts.trace_budget)
     code = cmd_design(design_args)
     if code != EXIT_OK:
         return code
@@ -412,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("-o", "--out", default="gains.json")
     p.add_argument("--trace-budget", type=float, default=None, dest="trace_budget")
-    p.add_argument("--algorithm", choices=("admm", "projected_subgradient"),
-                   default="admm")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("simulate", parents=[common, overrides],

@@ -2,9 +2,11 @@
 
 The design problem maximizes the smallest eigenvalue of -Q^T A Q over gain
 matrices A that are symmetric, block-Laplacian, sparse on the sensing graph,
-annihilate the kernel basis, and have fixed trace.  A custom ADMM splitting
-(affine projection / PSD projection) solves it; a projected-subgradient
-ascent is available as an independent cross-check.
+annihilate the kernel basis, and have fixed trace.  ADMM splits it into an
+equality-constrained least-squares step in the edge parameters, solved
+through one factored KKT matrix, and a PSD projection.  Its dual iterate
+gives an upper bound on the optimum, so every design reports its duality
+gap.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ _I2 = np.eye(2)
 _K2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-MAX_ITERATIONS = 20000  # per solve, either algorithm
+MAX_ITERATIONS = 20000  # ADMM iterations per design
 PRIMAL_TOL = DUAL_TOL = 1e-9  # absolute ADMM stopping tolerances
 ADMM_RHO = 1.0  # ADMM penalty parameter
 
@@ -48,7 +50,6 @@ class SolverOptions:
     """
 
     trace_budget: float | None = None
-    algorithm: str = "admm"  # or "projected_subgradient"
 
     def resolved_trace(self, n: int) -> float:
         t = self.trace_budget if self.trace_budget is not None else -(2.0 * n - 4.0)
@@ -140,10 +141,7 @@ def verify_gains(A: GainMatrix | NDArray[np.floating], basis: KernelBasis) -> Sp
     zero_tol = 1e-6 * max_abs if max_abs > 0 else 1e-12
     zero_count = int(np.sum(np.abs(eig) <= zero_tol))
     gap = float(-eig[4]) if eig.size > 4 else 0.0
-    residuals = []
-    for col in range(4):
-        v = basis.N[:, col]
-        residuals.append(np.linalg.norm(mat @ v) / np.linalg.norm(v))
+    residuals = [np.linalg.norm(mat @ v) / np.linalg.norm(v) for v in basis.N.T]
     return SpectrumReport(
         eigenvalues=tuple(float(x) for x in eig),
         zero_count=zero_count,
@@ -279,12 +277,13 @@ class _EdgeOperator:
         vals = vals.reshape(self.m, -1, 2).sum(axis=-1) * self.sign
         return np.bincount(self.index.ravel(), weights=vals.ravel(), minlength=self.dim)
 
-    def gram(self, chunk_rows: int = 256) -> NDArray[np.float64]:
+    def gram(self, out=None, chunk_rows: int = 256) -> NDArray[np.float64]:
         """B^T B: <L_u^T R_u, L_v^T R_v> is the sum of (L_u L_v^T) * (R_u R_v^T).
 
+        Added into ``out`` (a zeroed dim x dim array or view) when given.
         Factor rows are taken ``chunk_rows`` at a time, so no temporary
         grows beyond chunk_rows x (4 |E|)."""
-        G = np.zeros((self.dim, self.dim))
+        G = np.zeros((self.dim, self.dim)) if out is None else out
         for L, R, idx, sgn in self.parts:
             nvar = idx.size
             for lo in range(0, 2 * nvar, chunk_rows):
@@ -302,36 +301,29 @@ def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
     q_star = spec.q_star.reshape(n, 2)
     rows, rhs = [], []
     for k, g in enumerate(pool.graphs):
-        # A^k q* = 0: block i of A q* = sum_j (a I + b K)(q*_j - q*_i)
+        # A^k q* = 0: block i of A q* = sum_j (a I + b K)(q*_j - q*_i), two
+        # rows per agent, then diagonal-block symmetry: sum_j b_ij = 0.
+        kernel, symmetry = [], []
         for i in range(1, n + 1):
             neigh = g.neighbors(i)
             if not neigh:
                 continue
-            r0 = np.zeros(pool.dim)
-            r1 = np.zeros(pool.dim)
+            r0, r1, r2 = np.zeros((3, pool.dim))
             for j in neigh:
                 e = (min(i, j), max(i, j))
+                a, b = pool.a_index((k, e)), pool.b_index((k, e))
                 d = q_star[j - 1] - q_star[i - 1]
                 sign = 1.0 if i < j else -1.0  # b is oriented along i < j
                 kd = _K2 @ d
-                r0[pool.a_index((k, e))] += d[0]
-                r0[pool.b_index((k, e))] += sign * kd[0]
-                r1[pool.a_index((k, e))] += d[1]
-                r1[pool.b_index((k, e))] += sign * kd[1]
-            rows += [r0, r1]
-            rhs += [0.0, 0.0]
-        # Diagonal-block symmetry: sum_j b_ij = 0 per agent.
-        for i in range(1, n + 1):
-            neigh = g.neighbors(i)
-            if not neigh:
-                continue
-            r0 = np.zeros(pool.dim)
-            for j in neigh:
-                e = (min(i, j), max(i, j))
-                sign = 1.0 if i < j else -1.0
-                r0[pool.b_index((k, e))] += sign
-            rows.append(r0)
-            rhs.append(0.0)
+                r0[a] += d[0]
+                r0[b] += sign * kd[0]
+                r1[a] += d[1]
+                r1[b] += sign * kd[1]
+                r2[b] += sign
+            kernel += [r0, r1]
+            symmetry.append(r2)
+        rows += kernel + symmetry
+        rhs += [0.0] * (len(kernel) + len(symmetry))
     # Total trace: each edge instance contributes -4 a.
     r0 = np.zeros(pool.dim)
     for k, g in enumerate(pool.graphs):
@@ -342,30 +334,37 @@ def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
     return np.array(rows), np.array(rhs)
 
 
-def _affine_parametrization(G, h):
-    """Particular solution and orthonormal null-space basis of G x = h."""
+def _independent_constraints(G, h):
+    """Independent rows of G x = h, picked by a pivoted QR of G^T until its
+    diagonal falls below 1e-10 of the first entry, and a basis of range(G^T)."""
     x0, *_ = np.linalg.lstsq(G, h, rcond=None)
     if np.linalg.norm(G @ x0 - h) > 1e-8 * (1.0 + np.linalg.norm(h)):
         raise InfeasibleTopologyError(
             "gain constraints admit no solution for this graph/formation pair; "
             "the sensing graph is likely not universally rigid"
         )
-    _, s, Vt = np.linalg.svd(G, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-    Zn = Vt[rank:].T
-    return x0, Zn
+    Q, R, piv = scipy.linalg.qr(G.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-10 * (diag[0] if diag.size else 1.0)))
+    rows = np.sort(piv[:rank])
+    return G[rows], h[rows], Q[:, :rank]
 
 
 @dataclass
 class SolveInfo:
-    """Metadata from one solver run, persisted alongside the gains."""
+    """Metadata from one solver run, persisted alongside the gains.
 
-    algorithm: str
+    ``upper_bound`` = -sum_k <W_k, Abar^k(x)>, with W the PSD part of the final
+    multiplier at unit total trace, bounds the optimal gamma from above once
+    ``bound_residual``, the part of B^T W outside range(G^T), is zero."""
+
     iterations: int
     gamma: float
     primal_residual: float
     dual_residual: float
     converged: bool
+    upper_bound: float
+    bound_residual: float
 
 
 def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -375,42 +374,46 @@ def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
     return (V * w[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
-    """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, x in affine set.
+def _admm_solve(op: _EdgeOperator, G, h, range_basis):
+    """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, G x = h.
 
-    ``opts`` is not read: the tolerances, cap and penalty are constants."""
-    dim_y = Zn.shape[1]
-    m_top, r = op.m, op.r
+    G has independent rows and ``range_basis`` is an orthonormal basis of
+    range(G^T).  Each (x, gamma)-update minimizes
+    -gamma + rho/2 ||B x + gamma e + Z + Y/rho||^2 subject to G x = h, whose
+    KKT matrix does not change between iterations and is factored once."""
+    dim, m_top, r = op.dim, op.m, op.r
     rho = ADMM_RHO
     eye = np.eye(r)
-    offs = op.forward(x0)
-    # F = B Zn and e = vec(I) per topology; only F^T F and F^T e are formed.
-    Ft_e = Zn.T @ op.adjoint(np.broadcast_to(eye, (m_top, r, r)))
-    M = np.empty((dim_y + 1, dim_y + 1))
-    M[:dim_y, :dim_y] = Zn.T @ (op.gram() @ Zn)
-    M[:dim_y, dim_y] = Ft_e
-    M[dim_y, :dim_y] = Ft_e
-    M[dim_y, dim_y] = m_top * r
+    size = dim + 1 + G.shape[0]
+    # Built in Fortran order and factored in place: no second copy of the
+    # Gram block or of K exists at any time.
+    K = np.zeros((size, size), order="F")
+    op.gram(out=K[:dim, :dim])
+    K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(eye, (m_top, r, r)))
+    K[dim, dim] = m_top * r
+    K[:dim, dim + 1 :] = G.T
+    K[dim + 1 :, :dim] = G
     # Tiny ridge guards rank deficiency in degenerate variable pools.
-    M[np.diag_indices_from(M)] += 1e-12 * max(1.0, np.trace(M) / (dim_y + 1))
-    lu, piv = scipy.linalg.lu_factor(M)
+    ridge = np.arange(dim + 1)
+    K[ridge, ridge] += 1e-12 * max(1.0, np.trace(K) / (dim + 1))
+    lu, piv = scipy.linalg.lu_factor(K, overwrite_a=True)
 
-    y = np.zeros(dim_y)
-    gamma = 0.0
     Z = np.zeros((m_top, r, r))
     Y = np.zeros((m_top, r, r))
     scale = np.sqrt(m_top) * r
-    rhs = np.empty(dim_y + 1)
+    rhs = np.empty(size)
+    rhs[dim + 1 :] = h
     primal = dual = np.inf
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
         # (x, gamma)-update: equality-constrained least squares.
-        c = offs + (Z + Y / rho)
-        rhs[:dim_y] = -(Zn.T @ op.adjoint(c))
-        rhs[dim_y] = 1.0 / rho - np.trace(c, axis1=1, axis2=2).sum()
-        sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-        y, gamma = sol[:dim_y], sol[dim_y]
-        shifted = op.forward(Zn @ y) + offs + gamma * eye
+        c = Z + Y / rho
+        rhs[:dim] = -op.adjoint(c)
+        rhs[dim] = 1.0 / rho - np.trace(c, axis1=1, axis2=2).sum()
+        # LAPACK directly: lu_solve's checks cost more than a small solve.
+        sol, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+        x, gamma = sol[:dim], sol[dim]
+        shifted = op.forward(x) + gamma * eye
         # Z-update: spectral projection onto the PSD cone.
         Z_new = _psd_project(-shifted - Y / rho)
         dual_acc = np.sum((Z_new - Z) ** 2)
@@ -422,58 +425,32 @@ def _admm_solve(op: _EdgeOperator, Zn, x0, opts: SolverOptions):
         dual = rho * np.sqrt(dual_acc) / scale
         if primal < PRIMAL_TOL and dual < DUAL_TOL:
             break
-    x = x0 + Zn @ y
-    converged = primal < PRIMAL_TOL and dual < DUAL_TOL
+    # For W >= 0 with unit total trace and B^T W = G^T lam, every feasible
+    # (x, gamma) has gamma <= -<B^T W, x> = -lam^T h.
+    W = _psd_project(Y)
+    W /= np.trace(W, axis1=1, axis2=2).sum()
+    Bt_W = op.adjoint(W)
     return x, SolveInfo(
-        algorithm="admm",
         iterations=it,
         gamma=float(gamma),
         primal_residual=float(primal),
         dual_residual=float(dual),
-        converged=converged,
+        converged=bool(primal < PRIMAL_TOL and dual < DUAL_TOL),
+        upper_bound=-float(Bt_W @ x),
+        bound_residual=float(np.linalg.norm(Bt_W - range_basis @ (range_basis.T @ Bt_W))),
     )
 
 
-def _subgradient_solve(op: _EdgeOperator, Zn, x0):
-    """Projected subgradient ascent on gamma(x) = min_k lambda_1(-Abar^k(x))."""
-    offs = op.forward(x0)
-    y = np.zeros(Zn.shape[1])
-    best_y = y.copy()
-    best_gamma = -np.inf
-    step0 = 1.0
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        w, V = np.linalg.eigh(-(op.forward(Zn @ y) + offs))
-        k_min = int(np.argmin(w[:, 0]))
-        gamma = w[k_min, 0]
-        if gamma > best_gamma:
-            best_gamma = gamma
-            best_y = y.copy()
-        v = V[k_min, :, 0]
-        W = np.zeros((op.m, op.r, op.r))
-        W[k_min] = np.outer(v, v)
-        grad = -(Zn.T @ op.adjoint(W))
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-14:
-            break
-        y = y + (step0 / np.sqrt(it)) * grad / gnorm
-    x = x0 + Zn @ best_y
-    return x, SolveInfo(
-        algorithm="projected_subgradient",
-        iterations=it,
-        gamma=float(best_gamma),
-        primal_residual=0.0,
-        dual_residual=0.0,
-        converged=True,
-    )
-
-
-def _design(
+def design_joint_gains(
     graphs: list[SensingGraph],
     spec: FormationSpec,
-    opts: SolverOptions,
-    joint: bool,
+    opts: SolverOptions = SolverOptions(),
 ) -> tuple[list[GainMatrix], SolveInfo]:
+    """Design gains for one or more topologies that must agree wherever an
+    agent cannot distinguish two of them (identical neighbor sets)."""
+    graphs = list(graphs)
+    if not graphs:
+        raise DimensionError("need at least one topology")
     for g in graphs:
         if not validate_graph(g).connected:
             raise InfeasibleTopologyError(
@@ -485,16 +462,11 @@ def _design(
     basis = build_kernel_basis(spec)
     n = spec.n
     trace_per = opts.resolved_trace(n)
-    pool = _VariablePool(graphs if joint else graphs[:1])
+    pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
-    x0, Zn = _affine_parametrization(G, h)
+    G, h, range_basis = _independent_constraints(G, h)
     op = _EdgeOperator(pool, basis.Q)
-    if opts.algorithm == "projected_subgradient":
-        x, info = _subgradient_solve(op, Zn, x0)
-    elif opts.algorithm == "admm":
-        x, info = _admm_solve(op, Zn, x0, opts)
-    else:
-        raise DimensionError(f"unknown solver algorithm {opts.algorithm!r}")
+    x, info = _admm_solve(op, G, h, range_basis)
 
     # Exact achieved objective, independent of the solver's running estimate.
     gamma = float(np.linalg.eigvalsh(-op.forward(x))[:, 0].min())
@@ -502,7 +474,7 @@ def _design(
     # Smallest gamma accepted: 1e-6 of the mean nonzero eigenvalue magnitude.
     floor = 1e-6 * abs(trace_per) / (2 * n - 4)
     if gamma <= floor:
-        if joint and len(graphs) > 1:
+        if len(graphs) > 1:
             ties = [
                 members
                 for members in pool.class_members
@@ -518,7 +490,7 @@ def _design(
             f"graph/formation pair (best gamma {gamma:.3e} <= floor {floor:.3e}); "
             f"the sensing graph is likely not universally rigid"
         )
-    if not info.converged and opts.algorithm == "admm":
+    if not info.converged:
         raise SolverFailureError(
             f"ADMM did not converge in {MAX_ITERATIONS} iterations",
             primal_residual=info.primal_residual,
@@ -537,21 +509,8 @@ def design_gains(
     opts: SolverOptions = SolverOptions(),
 ) -> tuple[GainMatrix, SolveInfo]:
     """Design a stabilizing gain matrix for a single sensing topology."""
-    mats, info = _design([graph], spec, opts, joint=False)
+    mats, info = design_joint_gains([graph], spec, opts)
     return mats[0], info
-
-
-def design_joint_gains(
-    graphs: list[SensingGraph],
-    spec: FormationSpec,
-    opts: SolverOptions = SolverOptions(),
-) -> tuple[list[GainMatrix], SolveInfo]:
-    """Design gains for several topologies that must agree wherever an agent
-    cannot distinguish two of them (identical neighbor sets)."""
-    if not graphs:
-        raise DimensionError("need at least one topology")
-    mats, info = _design(list(graphs), spec, opts, joint=True)
-    return mats, info
 
 
 # ---------------------------------------------------------------------------

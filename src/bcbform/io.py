@@ -10,6 +10,7 @@ IEEE double.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import yaml
@@ -26,8 +27,39 @@ SCENARIO_VERSION = 1
 GAINS_VERSION = 1
 
 
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a ``kind``; a tuple passes for a list."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ConfigurationError(f"{where} must be of type {kind.__name__}; got {value!r}")
+    return value
+
+
+def _number(value, where: str, kind=float):
+    """``kind(value)``, refusing a value that is not a finite number."""
+    try:
+        number = kind(value)
+        if kind is int and number != value:  # int() truncates 1.7 and parses "1"
+            raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{where} must be of type {kind.__name__}; got {value!r}"
+        ) from exc
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{where} must be finite; NaN or infinity found")
+    return number
+
+
+def _field(doc: dict, key: str, where: str, default=None, kind=float):
+    """``doc[key]`` as a finite number of type ``kind``; ``default`` if absent."""
+    return _number(doc[key], f"{where}.{key}", kind) if key in doc else default
+
+
+def _numbers(values, where: str, kind=float) -> tuple:
+    return tuple(_number(v, where, kind) for v in _typed(values, list, where))
+
+
 def _check_keys(d: dict, allowed: set[str], where: str, required=()) -> None:
-    unknown = set(d) - allowed
+    unknown = set(_typed(d, dict, where)) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
@@ -46,7 +78,10 @@ def _row(entry, size: int, where: str):
 
 def _finite(value, field: str) -> np.ndarray:
     """``value`` as a float array, refusing NaN and infinities anywhere in it."""
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{field} must be numbers; got {value!r}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{field} must be finite; NaN or infinity found")
     return arr
@@ -137,9 +172,9 @@ def scenario_to_dict(scenario: Scenario, graph_names: list[str] | None = None) -
     return doc
 
 
-def _parse_edge_key(key: str) -> tuple[int, int]:
+def _parse_edge_key(key) -> tuple[int, int]:
     try:
-        i, j = key.split("-")
+        i, j = str(key).split("-")
         return (int(i), int(j))
     except ValueError as exc:
         raise ConfigurationError(f"bad edge key {key!r}; expected 'i-j'") from exc
@@ -174,15 +209,16 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     graph_names = list(graphs_doc)
     topologies = []
     for name, edges in graphs_doc.items():
-        pairs = [_row(e, 2, f"graphs.{name}") for e in edges]
-        topologies.append(SensingGraph(n, [(int(i), int(j)) for i, j in pairs]))
+        where = f"graphs.{name}"
+        pairs = [_row(e, 2, where) for e in _typed(edges, list, where)]
+        topologies.append(SensingGraph(n, [_numbers(p, where, int) for p in pairs]))
 
     schedule = []
-    for entry in doc["schedule"]:
+    for entry in _typed(doc["schedule"], list, "schedule"):
         t, name = _row(entry, 2, "schedule")
         if name not in graph_names:
             raise ConfigurationError(f"schedule references unknown graph {name!r}")
-        schedule.append((float(t), graph_names.index(name)))
+        schedule.append((_number(t, "schedule time"), graph_names.index(name)))
 
     agents_doc = doc.get("agents", {})
     _check_keys(
@@ -194,14 +230,15 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     actuators = None
     if "actuators" in agents_doc:
         actuators = tuple(
-            ActuatorParams(*[float(v) for v in row]) for row in agents_doc["actuators"]
+            ActuatorParams(*_numbers(_row(row, 4, "agents.actuators"), "agents.actuators"))
+            for row in _typed(agents_doc["actuators"], list, "agents.actuators")
         )
     model = AgentModel(
         dynamics=agents_doc.get("dynamics", "single_integrator"),
-        chain_order=int(agents_doc.get("chain_order", 3)),
+        chain_order=_field(agents_doc, "chain_order", "agents", 3, int),
         kinematic_only=bool(agents_doc.get("kinematic_only", True)),
         actuators=actuators,
-        wheelbase=float(agents_doc.get("wheelbase", 1.0)),
+        wheelbase=_field(agents_doc, "wheelbase", "agents", 1.0),
         drive=agents_doc.get("drive", "front"),
     )
 
@@ -216,35 +253,32 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     if "scale" in ctl_doc:
         sdoc = ctl_doc["scale"]
         _check_keys(sdoc, {"d_star", "f_kind", "k_f"}, "controller.scale", ("d_star",))
+        d_star = _typed(sdoc["d_star"], dict, "controller.scale.d_star")
         scale = ScaleConfig(
-            d_star={_parse_edge_key(k): float(v) for k, v in sdoc["d_star"].items()},
+            d_star={_parse_edge_key(k): _number(v, f"controller.scale.d_star.{k}")
+                    for k, v in d_star.items()},
             f_kind=sdoc.get("f_kind", "tanh"),
-            k_f=float(sdoc.get("k_f", 1.0)),
+            k_f=_field(sdoc, "k_f", "controller.scale", 1.0),
         )
     perturbation = None
     if "perturbation" in ctl_doc:
         pdoc = ctl_doc["perturbation"]
-        _check_keys(pdoc, {"c", "alpha"}, "controller.perturbation")
+        _check_keys(pdoc, {"c", "alpha"}, "controller.perturbation", ("c", "alpha"))
         perturbation = PerturbationConfig(
-            c=tuple(float(v) for v in pdoc["c"]),
-            alpha=tuple(float(v) for v in pdoc["alpha"]),
+            c=_numbers(pdoc["c"], "controller.perturbation.c"),
+            alpha=_numbers(pdoc["alpha"], "controller.perturbation.alpha"),
         )
 
-    def opt_float(key):
-        if key not in ctl_doc:
-            return None
-        return float(_finite(ctl_doc[key], f"controller.{key}"))
-
     controller = ControllerConfig(
-        u_max=opt_float("u_max"),
-        v_max=opt_float("v_max"),
-        omega_max=opt_float("omega_max"),
-        phi_max=opt_float("phi_max"),
-        k_chain=tuple(float(v) for v in ctl_doc.get("k_chain", (1.0,))),
+        u_max=_field(ctl_doc, "u_max", "controller"),
+        v_max=_field(ctl_doc, "v_max", "controller"),
+        omega_max=_field(ctl_doc, "omega_max", "controller"),
+        phi_max=_field(ctl_doc, "phi_max", "controller"),
+        k_chain=_numbers(ctl_doc.get("k_chain", [1.0]), "controller.k_chain"),
         chain_variant=ctl_doc.get("chain_variant", "identity_derivatives"),
-        k0_int=opt_float("k0_int"),
-        k1_int=opt_float("k1_int"),
-        k_s=opt_float("k_s"),
+        k0_int=_field(ctl_doc, "k0_int", "controller"),
+        k1_int=_field(ctl_doc, "k1_int", "controller"),
+        k_s=_field(ctl_doc, "k_s", "controller"),
         actuator_mode=ctl_doc.get("actuator_mode", "direct"),
         scale=scale,
         perturbation=perturbation,
@@ -255,8 +289,9 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
         adoc = doc["avoidance"]
         _check_keys(adoc, {"r", "d_c", "margin"}, "avoidance", ("r", "d_c"))
         avoidance = AvoidanceConfig(
-            r=float(adoc["r"]), d_c=float(adoc["d_c"]),
-            margin=float(adoc.get("margin", 0.0)),
+            r=_field(adoc, "r", "avoidance"),
+            d_c=_field(adoc, "d_c", "avoidance"),
+            margin=_field(adoc, "margin", "avoidance", 0.0),
         )
 
     sim_doc = doc.get("sim", {})
@@ -267,7 +302,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
         "sim",
     )
     init_doc = sim_doc.get("init", {"kind": "box"})
-    kind = init_doc.get("kind", "box")
+    kind = _typed(init_doc, dict, "sim.init").get("kind", "box")
     _check_keys(init_doc, {"kind", "low", "high", "states"}, "sim.init",
                 ("states",) if kind == "explicit" else ())
     if kind == "explicit":
@@ -276,26 +311,26 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
             states=_finite(init_doc["states"], "sim.init.states"),
         )
     else:
-        low = _finite(init_doc.get("low", (-5.0, -5.0)), "sim.init.low")
-        high = _finite(init_doc.get("high", (5.0, 5.0)), "sim.init.high")
         init = InitSpec(
             kind=kind,
-            low=tuple(float(v) for v in low),
-            high=tuple(float(v) for v in high),
+            low=_numbers(_row(init_doc.get("low", [-5.0, -5.0]), 2, "sim.init.low"),
+                         "sim.init.low"),
+            high=_numbers(_row(init_doc.get("high", [5.0, 5.0]), 2, "sim.init.high"),
+                          "sim.init.high"),
         )
+
     sim = SimConfig(
-        dt=float(sim_doc.get("dt", 0.01)),
-        t_final=float(sim_doc.get("t_final", 60.0)),
-        seed=int(sim_doc.get("seed", 42)),
+        dt=_field(sim_doc, "dt", "sim", 0.01),
+        t_final=_field(sim_doc, "t_final", "sim", 60.0),
+        seed=_field(sim_doc, "seed", "sim", 42, int),
         init=init,
-        convergence_threshold=float(sim_doc.get("convergence_threshold", 1e-3)),
-        measurement_noise=float(sim_doc.get("measurement_noise", 0.0)),
+        convergence_threshold=_field(sim_doc, "convergence_threshold", "sim", 1e-3),
+        measurement_noise=_field(sim_doc, "measurement_noise", "sim", 0.0),
     )
 
     frame_angles = None
     if "frame_angles" in doc:
-        angles = _finite(doc["frame_angles"], "frame_angles")
-        frame_angles = tuple(float(v) for v in angles)
+        frame_angles = _numbers(doc["frame_angles"], "frame_angles")
 
     scenario = Scenario(
         formation=formation,
@@ -366,12 +401,14 @@ def save_gains(
             for gm, rep in zip(matrices, reports)
         ],
         "solver": {
-            "algorithm": info.algorithm,
+            "algorithm": "admm",
             "iterations": int(info.iterations),
             "gamma": float(info.gamma),
             "primal_residual": float(info.primal_residual),
             "dual_residual": float(info.dual_residual),
             "converged": bool(info.converged),
+            "upper_bound": float(info.upper_bound),
+            "bound_residual": float(info.bound_residual),
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -390,13 +427,16 @@ def load_gains(path: str) -> tuple[list[GainMatrix], dict]:
                 ("n", "matrices"))
     if doc.get("version") != GAINS_VERSION:
         raise ConfigurationError(f"unsupported gains version {doc.get('version')!r}")
-    n = int(doc["n"])
+    n = _field(doc, "n", "gains", kind=int)
     matrices = []
-    for entry in doc["matrices"]:
+    where = "gains.matrices[].edges"
+    for entry in _typed(doc["matrices"], list, "gains.matrices"):
         _check_keys(entry, {"edges", "spectrum"}, "gains.matrices[]", ("edges",))
-        rows = [_row(e, 4, "gains.matrices[].edges") for e in entry["edges"]]
-        edges = [(int(i), int(j)) for i, j, _, _ in rows]
-        params = {(int(i), int(j)): (float(a), float(b)) for i, j, a, b in rows}
+        rows = [_row(e, 4, where) for e in _typed(entry["edges"], list, where)]
+        edges = [_numbers(row[:2], where, int) for row in rows]
+        values = [_numbers(row[2:], where) for row in rows]
+        if any(i >= j for i, j in edges):
+            raise ConfigurationError(f"every {where} row [i, j, a, b] needs i < j")
         graph = SensingGraph(n, edges)
-        matrices.append(GainMatrix.from_edge_params(graph, params))
+        matrices.append(GainMatrix.from_edge_params(graph, dict(zip(edges, values))))
     return matrices, doc

@@ -415,6 +415,10 @@ def check_gains(scenario: Scenario, gains: list[GainMatrix], basis: KernelBasis)
         raise ConfigurationError(
             f"{len(gains)} gain matrices for {len(scenario.topologies)} topologies"
         )
+    n = scenario.formation.n
+    for gm in gains:
+        if gm.n != n:
+            raise ConfigurationError(f"gain matrices for {gm.n} agents, scenario has {n}")
     cfg = scenario.controller
     out = []
     for k, gm in enumerate(gains):

@@ -68,6 +68,22 @@ MALFORMED = {
     "three_element_gain_edge": (
         "gains", lambda d: d["matrices"][0]["edges"].__setitem__(0, [1, 2, 0.5]),
         "edges entry [1, 2, 0.5]"),
+    "formation_not_a_mapping": (
+        "scenario", lambda d: d.update(formation=5), "formation must be of type dict; got 5"),
+    "schedule_not_a_list": (
+        "scenario", lambda d: d.update(schedule=3), "schedule must be of type list; got 3"),
+    "non_integer_graph_vertex": (
+        "scenario", lambda d: d["graphs"]["g0"].__setitem__(0, ["a", 2]),
+        "graphs.g0 must be of type int; got 'a'"),
+    "fractional_graph_vertex": (
+        "scenario", lambda d: d["graphs"]["g0"].__setitem__(0, [1.7, 2]),
+        "graphs.g0 must be of type int; got 1.7"),
+    "three_element_box_bound": (
+        "scenario", lambda d: d["sim"].update(init={"kind": "box", "low": [1.0, 2.0, 3.0]}),
+        "sim.init.low entry [1.0, 2.0, 3.0]"),
+    "non_numeric_dt": (
+        "scenario", lambda d: d["sim"].update(dt="fast"),
+        "sim.dt must be of type float; got 'fast'"),
 }
 
 
@@ -153,6 +169,30 @@ class TestVerify:
         write_triangle(workdir / "tri.yaml")
         main(["design", "tri.yaml", "-o", "g.json", "--quiet"])
         assert main(["verify", "g.json", "tri.yaml", "--quiet"]) == EXIT_OK
+
+    def test_gains_without_certificate_keys_verify(self, workdir):
+        write_triangle(workdir / "tri.yaml")
+        assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+        keys = ("upper_bound", "bound_residual")
+        assert set(keys) <= set(json.loads((workdir / "g.json").read_text())["solver"])
+        rewrite(workdir / "g.json", lambda d: [d["solver"].pop(k) for k in keys],
+                json.loads, json.dumps)
+        assert main(["verify", "g.json", "tri.yaml", "--quiet"]) == EXIT_OK
+
+    def test_gains_for_other_agent_count_refused(self, workdir, capsys):
+        write_triangle(workdir / "tri.yaml")
+        assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+        scenario, names, _ = demo_scenario("hexagon")
+        save_scenario("hex.yaml", scenario, names)
+        capsys.readouterr()
+        assert main(["verify", "g.json", "hex.yaml", "--quiet"]) == EXIT_INFEASIBLE
+        assert main(["simulate", "hex.yaml", "g.json", "-o", "out.csv",
+                     "--quiet"]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error:") and "3 agents" in line and "has 6" in line
+                   for line in err)
+        assert not (workdir / "out.csv").exists()
 
     def test_corrupt_gains_file_is_parse_error(self, workdir):
         write_triangle(workdir / "tri.yaml")

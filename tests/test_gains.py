@@ -131,15 +131,19 @@ class TestDesign:
         with pytest.raises(InfeasibleTopologyError, match="disconnected"):
             design_joint_gains([complete_graph(6), two_triangles], spec)
 
-    def test_subgradient_fallback_agrees_with_admm(self):
-        spec = FormationSpec.from_coordinates([(0, 0), (2, 0), (1, 2)])
-        opts = SolverOptions(algorithm="projected_subgradient")
-        gm, info = design_gains(complete_graph(3), spec, opts)
-        report = verify_gains(gm, build_kernel_basis(spec))
-        assert report.passed
-        oracle = projector_gain_oracle(spec)
-        scale = np.trace(oracle) / np.trace(gm.assembled)
-        assert np.linalg.norm(gm.assembled * scale - oracle, 2) < 1e-3
+    @pytest.mark.parametrize("case", ["hexagon_cycle", "circulant"])
+    def test_duality_gap_certificate(self, case):
+        if case == "hexagon_cycle":
+            spec = FormationSpec.from_coordinates(HEX_POINTS)
+            graph = SensingGraph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+        else:
+            rng = np.random.default_rng(10)
+            spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(10, 2)))
+            graph = circulant_graph(10)
+        _, info = design_gains(graph, spec)
+        assert info.converged
+        assert abs(info.upper_bound - info.gamma) < 1e-6 * info.gamma
+        assert 0.0 <= info.bound_residual < 1e-6
 
     def test_gain_kernel_contains_formation(self):
         spec = FormationSpec.from_coordinates(HEX_POINTS)
@@ -220,6 +224,32 @@ class TestEdgeOperator:
             tracemalloc.stop()
         assert info.converged
         assert peak < 40 * 2**20
+
+
+def similar(points, graph, rng):
+    """Rotate, translate, scale and relabel a formation with its graph."""
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    moved = (points @ rot.T + rng.uniform(-5.0, 5.0, size=2)) * rng.uniform(0.5, 2.0)
+    perm = rng.permutation(graph.n)  # agent k + 1 gets label perm[k] + 1
+    relabelled = np.empty_like(moved)
+    relabelled[perm] = moved
+    edges = [tuple(sorted((int(perm[i - 1]) + 1, int(perm[j - 1]) + 1)))
+             for i, j in graph.edge_list]
+    return relabelled, SensingGraph(graph.n, edges)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_design_invariant_under_similarity_and_relabelling(n):
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-1.0, 1.0, size=(n, 2))
+    graph = trilateration_graph(n)
+    _, base = design_gains(graph, FormationSpec.from_coordinates(points))
+    for _ in range(3):
+        moved, relabelled = similar(points, graph, rng)
+        _, info = design_gains(relabelled, FormationSpec.from_coordinates(moved))
+        assert info.iterations == base.iterations
+        assert info.gamma == pytest.approx(base.gamma, rel=1e-10)
 
 
 class TestJointDesign:
