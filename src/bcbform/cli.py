@@ -139,12 +139,14 @@ def cmd_design(args) -> int:
         _fail(str(exc))
         return EXIT_PARSE
     opts = SolverOptions(trace_budget=args.trace_budget)
+    basis = build_kernel_basis(scenario.formation)
     try:
-        mats, info = design_joint_gains(list(scenario.topologies), scenario.formation, opts)
+        mats, info = design_joint_gains(
+            list(scenario.topologies), scenario.formation, opts, basis
+        )
     except (InfeasibleTopologyError, JointInfeasibilityError, SolverFailureError) as exc:
         _fail(str(exc))
         return EXIT_INFEASIBLE
-    basis = build_kernel_basis(scenario.formation)
     reports = [verify_gains(gm, basis) for gm in mats]
     if not all(rep.passed for rep in reports):
         _fail("designed gains fail spectrum verification")

@@ -85,6 +85,10 @@ class ControllerConfig:
             raise ConfigurationError(
                 f"unknown chain control variant {self.chain_variant!r}"
             )
+        if self.actuator_mode not in ("direct", "velocity_feedback"):
+            raise ConfigurationError(f"unknown actuator mode {self.actuator_mode!r}")
+        if self.actuator_mode == "velocity_feedback" and self.k_s is None:
+            raise ConfigurationError("velocity_feedback mode requires k_s")
 
 
 @dataclass

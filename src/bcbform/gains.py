@@ -445,9 +445,11 @@ def design_joint_gains(
     graphs: list[SensingGraph],
     spec: FormationSpec,
     opts: SolverOptions = SolverOptions(),
+    basis: KernelBasis | None = None,
 ) -> tuple[list[GainMatrix], SolveInfo]:
     """Design gains for one or more topologies that must agree wherever an
-    agent cannot distinguish two of them (identical neighbor sets)."""
+    agent cannot distinguish two of them (identical neighbor sets).  A caller
+    that already holds ``spec``'s kernel basis passes it as ``basis``."""
     graphs = list(graphs)
     if not graphs:
         raise DimensionError("need at least one topology")
@@ -459,7 +461,8 @@ def design_joint_gains(
             )
         if g.n != spec.n:
             raise DimensionError("graph and formation sizes differ")
-    basis = build_kernel_basis(spec)
+    if basis is None:
+        basis = build_kernel_basis(spec)
     n = spec.n
     trace_per = opts.resolved_trace(n)
     pool = _VariablePool(graphs)

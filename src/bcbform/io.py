@@ -2,13 +2,17 @@
 
 Scenario documents are versioned, schema-checked on load (unknown keys are
 rejected), and round-trip exactly through ``scenario_to_dict`` /
-``scenario_from_dict``.  Gains files round-trip bitwise: floats are written
-with Python's shortest-repr JSON encoding, which preserves every bit of an
-IEEE double.
+``scenario_from_dict``.  Each section backed by a config dataclass is read
+and written from that dataclass's fields: its keys are the field names, an
+absent key takes the field's default and a field without a default is a
+required key.  Gains files round-trip bitwise: floats are written with
+Python's shortest-repr JSON encoding, which preserves every bit of an IEEE
+double.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -49,11 +53,6 @@ def _number(value, where: str, kind=float):
     return number
 
 
-def _field(doc: dict, key: str, where: str, default=None, kind=float):
-    """``doc[key]`` as a finite number of type ``kind``; ``default`` if absent."""
-    return _number(doc[key], f"{where}.{key}", kind) if key in doc else default
-
-
 def _numbers(values, where: str, kind=float) -> tuple:
     return tuple(_number(v, where, kind) for v in _typed(values, list, where))
 
@@ -87,89 +86,48 @@ def _finite(value, field: str) -> np.ndarray:
     return arr
 
 
+def _plain(value):
+    """Plain YAML/JSON data: a dataclass becomes a mapping of its fields that
+    are not None, ``ActuatorParams`` a row of four numbers, tuples and arrays
+    lists, edge-keyed mappings ``"i-j"`` keys and numpy scalars Python ones."""
+    if isinstance(value, ActuatorParams):
+        return _plain(dataclasses.astuple(value))
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, dict):
+        return {f"{i}-{j}": _plain(v) for (i, j), v in sorted(value.items())}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Scenario documents
 
 
-def scenario_to_dict(scenario: Scenario, graph_names: list[str] | None = None) -> dict:
-    """Plain-data form of a scenario, suitable for YAML serialization."""
-    if graph_names is None:
-        graph_names = [f"g{k}" for k in range(len(scenario.topologies))]
-    if len(graph_names) != len(scenario.topologies):
-        raise ConfigurationError("one graph name per topology required")
-    doc: dict = {"version": SCENARIO_VERSION}
-    doc["formation"] = {
-        "coordinates": [[float(x), float(y)] for x, y in scenario.formation.points()]
-    }
-    doc["graphs"] = {
-        name: [[i, j] for i, j in g.edge_list]
-        for name, g in zip(graph_names, scenario.topologies)
-    }
-    doc["schedule"] = [[float(t), graph_names[k]] for t, k in scenario.schedule]
-    model = scenario.agents
-    agents: dict = {"dynamics": model.dynamics}
-    if model.dynamics == "chain":
-        agents["chain_order"] = model.chain_order
-    if model.dynamics in ("unicycle", "car"):
-        agents["kinematic_only"] = model.kinematic_only
-    if model.actuators is not None:
-        agents["actuators"] = [
-            [float(p.a), float(p.b), float(p.c), float(p.d)]
-            for p in model.actuators
-        ]
-    if model.dynamics == "car":
-        agents["wheelbase"] = model.wheelbase
-        agents["drive"] = model.drive
-    doc["agents"] = agents
+def _as_is(value, where: str):
+    """Strings go to the dataclass unchanged; its own check names a bad value."""
+    return value
 
-    cfg = scenario.controller
-    controller: dict = {}
-    for name in ("u_max", "v_max", "omega_max", "phi_max", "k0_int", "k1_int", "k_s"):
-        val = getattr(cfg, name)
-        if val is not None:
-            controller[name] = float(val)
-    if model.dynamics == "chain":
-        controller["k_chain"] = [float(v) for v in cfg.k_chain]
-        controller["chain_variant"] = cfg.chain_variant
-    if cfg.actuator_mode != "direct":
-        controller["actuator_mode"] = cfg.actuator_mode
-    if cfg.scale is not None:
-        controller["scale"] = {
-            "d_star": {f"{i}-{j}": float(d) for (i, j), d in sorted(cfg.scale.d_star.items())},
-            "f_kind": cfg.scale.f_kind,
-            "k_f": float(cfg.scale.k_f),
-        }
-    if cfg.perturbation is not None:
-        controller["perturbation"] = {
-            "c": [float(v) for v in cfg.perturbation.c],
-            "alpha": [float(v) for v in cfg.perturbation.alpha],
-        }
-    doc["controller"] = controller
 
-    if scenario.avoidance is not None:
-        doc["avoidance"] = {"r": float(scenario.avoidance.r),
-                            "d_c": float(scenario.avoidance.d_c)}
-        if scenario.avoidance.margin:
-            doc["avoidance"]["margin"] = float(scenario.avoidance.margin)
+def _int(value, where: str) -> int:
+    return _number(value, where, int)
 
-    sim = scenario.sim
-    init: dict = {"kind": sim.init.kind}
-    if sim.init.kind == "box":
-        init["low"] = [float(v) for v in sim.init.low]
-        init["high"] = [float(v) for v in sim.init.high]
-    else:
-        init["states"] = [[float(v) for v in row] for row in np.asarray(sim.init.states)]
-    doc["sim"] = {
-        "dt": float(sim.dt),
-        "t_final": float(sim.t_final),
-        "seed": int(sim.seed),
-        "convergence_threshold": float(sim.convergence_threshold),
-        "measurement_noise": float(sim.measurement_noise),
-        "init": init,
-    }
-    if scenario.frame_angles is not None:
-        doc["frame_angles"] = [float(v) for v in scenario.frame_angles]
-    return doc
+
+def _bool(value, where: str) -> bool:
+    return _typed(value, bool, where)
+
+
+def _pair(value, where: str) -> tuple:
+    return _numbers(_row(value, 2, where), where)
+
+
+def _actuators(value, where: str) -> tuple[ActuatorParams, ...]:
+    return tuple(ActuatorParams(*_numbers(_row(row, 4, where), where))
+                 for row in _typed(value, list, where))
 
 
 def _parse_edge_key(key) -> tuple[int, int]:
@@ -180,14 +138,78 @@ def _parse_edge_key(key) -> tuple[int, int]:
         raise ConfigurationError(f"bad edge key {key!r}; expected 'i-j'") from exc
 
 
+def _edge_values(value, where: str) -> dict[tuple[int, int], float]:
+    return {_parse_edge_key(k): _number(v, f"{where}.{k}")
+            for k, v in _typed(value, dict, where).items()}
+
+
+def _section(value, where: str):
+    """The dataclass of section ``where`` built from the mapping ``value``."""
+    cls, parsers = _SECTIONS[where]
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    _check_keys(value, {f.name for f in fields}, where, required)
+    return cls(**{key: parsers[key](v, f"{where}.{key}") for key, v in value.items()})
+
+
+# Section -> (config dataclass, parser per field).
+_SECTIONS = {
+    "agents": (AgentModel, {
+        "dynamics": _as_is, "chain_order": _int, "kinematic_only": _bool,
+        "actuators": _actuators, "wheelbase": _number, "drive": _as_is,
+    }),
+    "controller": (ControllerConfig, {
+        "u_max": _number, "v_max": _number, "omega_max": _number, "phi_max": _number,
+        "k_chain": _numbers, "chain_variant": _as_is, "k0_int": _number,
+        "k1_int": _number, "k_s": _number, "actuator_mode": _as_is,
+        "scale": _section, "perturbation": _section,
+    }),
+    "controller.scale": (ScaleConfig, {
+        "d_star": _edge_values, "f_kind": _as_is, "k_f": _number,
+    }),
+    "controller.perturbation": (PerturbationConfig, {"c": _numbers, "alpha": _numbers}),
+    "avoidance": (AvoidanceConfig, {"r": _number, "d_c": _number, "margin": _number}),
+    "sim": (SimConfig, {
+        "dt": _number, "t_final": _number, "seed": _int, "init": _section,
+        "convergence_threshold": _number, "measurement_noise": _number,
+    }),
+    "sim.init": (InitSpec, {"kind": _as_is, "low": _pair, "high": _pair, "states": _finite}),
+}
+# Scenario fields written and read through _plain and _section, in file order.
+_CONFIG_SECTIONS = ("agents", "controller", "avoidance", "sim")
+
+
+def scenario_to_dict(scenario: Scenario, graph_names: list[str] | None = None) -> dict:
+    """Plain-data form of a scenario, suitable for YAML serialization."""
+    if graph_names is None:
+        graph_names = [f"g{k}" for k in range(len(scenario.topologies))]
+    if len(graph_names) != len(scenario.topologies):
+        raise ConfigurationError("one graph name per topology required")
+    doc: dict = {"version": SCENARIO_VERSION}
+    doc["formation"] = {
+        "coordinates": [[float(x), float(y)] for x, y in scenario.formation.points()],
+        "center": scenario.formation.centered,
+    }
+    doc["graphs"] = {
+        name: [[i, j] for i, j in g.edge_list]
+        for name, g in zip(graph_names, scenario.topologies)
+    }
+    doc["schedule"] = [[float(t), graph_names[k]] for t, k in scenario.schedule]
+    for name in (*_CONFIG_SECTIONS, "frame_angles"):
+        if getattr(scenario, name) is not None:
+            doc[name] = _plain(getattr(scenario, name))
+    return doc
+
+
 def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     """Build a Scenario from plain data; returns it with the graph name order."""
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a mapping")
     _check_keys(
         doc,
-        {"version", "formation", "graphs", "schedule", "agents", "controller",
-         "avoidance", "sim", "frame_angles"},
+        {"version", "formation", "graphs", "schedule", *_CONFIG_SECTIONS, "frame_angles"},
         "scenario",
         ("formation", "graphs", "schedule"),
     )
@@ -199,7 +221,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     _check_keys(formation_doc, {"coordinates", "center"}, "formation", ("coordinates",))
     coords = _finite(formation_doc["coordinates"], "formation.coordinates")
     formation = FormationSpec.from_coordinates(
-        coords, center=formation_doc.get("center", True)
+        coords, center=_bool(formation_doc.get("center", True), "formation.center")
     )
     n = formation.n
 
@@ -220,127 +242,14 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
             raise ConfigurationError(f"schedule references unknown graph {name!r}")
         schedule.append((_number(t, "schedule time"), graph_names.index(name)))
 
-    agents_doc = doc.get("agents", {})
-    _check_keys(
-        agents_doc,
-        {"dynamics", "chain_order", "kinematic_only", "actuators",
-         "wheelbase", "drive"},
-        "agents",
-    )
-    actuators = None
-    if "actuators" in agents_doc:
-        actuators = tuple(
-            ActuatorParams(*_numbers(_row(row, 4, "agents.actuators"), "agents.actuators"))
-            for row in _typed(agents_doc["actuators"], list, "agents.actuators")
-        )
-    model = AgentModel(
-        dynamics=agents_doc.get("dynamics", "single_integrator"),
-        chain_order=_field(agents_doc, "chain_order", "agents", 3, int),
-        kinematic_only=bool(agents_doc.get("kinematic_only", True)),
-        actuators=actuators,
-        wheelbase=_field(agents_doc, "wheelbase", "agents", 1.0),
-        drive=agents_doc.get("drive", "front"),
-    )
-
-    ctl_doc = doc.get("controller", {})
-    _check_keys(
-        ctl_doc,
-        {"u_max", "v_max", "omega_max", "phi_max", "k_chain", "chain_variant",
-         "k0_int", "k1_int", "k_s", "actuator_mode", "scale", "perturbation"},
-        "controller",
-    )
-    scale = None
-    if "scale" in ctl_doc:
-        sdoc = ctl_doc["scale"]
-        _check_keys(sdoc, {"d_star", "f_kind", "k_f"}, "controller.scale", ("d_star",))
-        d_star = _typed(sdoc["d_star"], dict, "controller.scale.d_star")
-        scale = ScaleConfig(
-            d_star={_parse_edge_key(k): _number(v, f"controller.scale.d_star.{k}")
-                    for k, v in d_star.items()},
-            f_kind=sdoc.get("f_kind", "tanh"),
-            k_f=_field(sdoc, "k_f", "controller.scale", 1.0),
-        )
-    perturbation = None
-    if "perturbation" in ctl_doc:
-        pdoc = ctl_doc["perturbation"]
-        _check_keys(pdoc, {"c", "alpha"}, "controller.perturbation", ("c", "alpha"))
-        perturbation = PerturbationConfig(
-            c=_numbers(pdoc["c"], "controller.perturbation.c"),
-            alpha=_numbers(pdoc["alpha"], "controller.perturbation.alpha"),
-        )
-
-    controller = ControllerConfig(
-        u_max=_field(ctl_doc, "u_max", "controller"),
-        v_max=_field(ctl_doc, "v_max", "controller"),
-        omega_max=_field(ctl_doc, "omega_max", "controller"),
-        phi_max=_field(ctl_doc, "phi_max", "controller"),
-        k_chain=_numbers(ctl_doc.get("k_chain", [1.0]), "controller.k_chain"),
-        chain_variant=ctl_doc.get("chain_variant", "identity_derivatives"),
-        k0_int=_field(ctl_doc, "k0_int", "controller"),
-        k1_int=_field(ctl_doc, "k1_int", "controller"),
-        k_s=_field(ctl_doc, "k_s", "controller"),
-        actuator_mode=ctl_doc.get("actuator_mode", "direct"),
-        scale=scale,
-        perturbation=perturbation,
-    )
-
-    avoidance = None
-    if "avoidance" in doc:
-        adoc = doc["avoidance"]
-        _check_keys(adoc, {"r", "d_c", "margin"}, "avoidance", ("r", "d_c"))
-        avoidance = AvoidanceConfig(
-            r=_field(adoc, "r", "avoidance"),
-            d_c=_field(adoc, "d_c", "avoidance"),
-            margin=_field(adoc, "margin", "avoidance", 0.0),
-        )
-
-    sim_doc = doc.get("sim", {})
-    _check_keys(
-        sim_doc,
-        {"dt", "t_final", "seed", "convergence_threshold", "measurement_noise",
-         "init"},
-        "sim",
-    )
-    init_doc = sim_doc.get("init", {"kind": "box"})
-    kind = _typed(init_doc, dict, "sim.init").get("kind", "box")
-    _check_keys(init_doc, {"kind", "low", "high", "states"}, "sim.init",
-                ("states",) if kind == "explicit" else ())
-    if kind == "explicit":
-        init = InitSpec(
-            kind="explicit",
-            states=_finite(init_doc["states"], "sim.init.states"),
-        )
-    else:
-        init = InitSpec(
-            kind=kind,
-            low=_numbers(_row(init_doc.get("low", [-5.0, -5.0]), 2, "sim.init.low"),
-                         "sim.init.low"),
-            high=_numbers(_row(init_doc.get("high", [5.0, 5.0]), 2, "sim.init.high"),
-                          "sim.init.high"),
-        )
-
-    sim = SimConfig(
-        dt=_field(sim_doc, "dt", "sim", 0.01),
-        t_final=_field(sim_doc, "t_final", "sim", 60.0),
-        seed=_field(sim_doc, "seed", "sim", 42, int),
-        init=init,
-        convergence_threshold=_field(sim_doc, "convergence_threshold", "sim", 1e-3),
-        measurement_noise=_field(sim_doc, "measurement_noise", "sim", 0.0),
-    )
-
-    frame_angles = None
+    sections = {name: _section(doc[name], name) for name in _CONFIG_SECTIONS if name in doc}
     if "frame_angles" in doc:
-        frame_angles = _numbers(doc["frame_angles"], "frame_angles")
-
+        sections["frame_angles"] = _numbers(doc["frame_angles"], "frame_angles")
     scenario = Scenario(
         formation=formation,
         topologies=tuple(topologies),
         schedule=tuple(schedule),
-        agents=model,
-        controller=controller,
-        avoidance=avoidance,
-        sim=sim,
-        frame_angles=frame_angles,
+        **sections,
     )
     return scenario, graph_names
 
@@ -366,17 +275,6 @@ def save_scenario(
 # Gains files
 
 
-def _spectrum_to_dict(report: SpectrumReport) -> dict:
-    return {
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "zero_count": int(report.zero_count),
-        "spectral_gap": float(report.spectral_gap),
-        "kernel_residual": float(report.kernel_residual),
-        "zero_tolerance": float(report.zero_tolerance),
-        "passed": bool(report.passed),
-    }
-
-
 def save_gains(
     path: str,
     matrices: list[GainMatrix],
@@ -396,20 +294,11 @@ def save_gains(
                     for (i, j), (a, b) in sorted(gm.blocks.items())
                     if i < j
                 ],
-                "spectrum": _spectrum_to_dict(rep),
+                "spectrum": {**_plain(rep), "passed": bool(rep.passed)},
             }
             for gm, rep in zip(matrices, reports)
         ],
-        "solver": {
-            "algorithm": "admm",
-            "iterations": int(info.iterations),
-            "gamma": float(info.gamma),
-            "primal_residual": float(info.primal_residual),
-            "dual_residual": float(info.dual_residual),
-            "converged": bool(info.converged),
-            "upper_bound": float(info.upper_bound),
-            "bound_residual": float(info.bound_residual),
-        },
+        "solver": {"algorithm": "admm", **_plain(info)},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -427,7 +316,7 @@ def load_gains(path: str) -> tuple[list[GainMatrix], dict]:
                 ("n", "matrices"))
     if doc.get("version") != GAINS_VERSION:
         raise ConfigurationError(f"unsupported gains version {doc.get('version')!r}")
-    n = _field(doc, "n", "gains", kind=int)
+    n = _int(doc["n"], "gains.n")
     matrices = []
     where = "gains.matrices[].edges"
     for entry in _typed(doc["matrices"], list, "gains.matrices"):

@@ -70,6 +70,7 @@ class AgentModel:
     def __post_init__(self):
         if self.dynamics not in DYNAMICS_CLASSES:
             raise ConfigurationError(f"unknown dynamics class {self.dynamics!r}")
+        ctl._check_drive(self.drive)
 
     def state_dim(self) -> int:
         if self.dynamics == "single_integrator":
@@ -95,6 +96,8 @@ class InitSpec:
             raise ConfigurationError(
                 f"unknown init kind {self.kind!r}; expected 'box' or 'explicit'"
             )
+        if self.kind == "explicit" and self.states is None:
+            raise ConfigurationError("sim.init of kind 'explicit' needs 'states'")
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,27 @@ class Scenario:
         for _, idx in self.schedule:
             if not (0 <= idx < len(self.topologies)):
                 raise ConfigurationError(f"schedule topology index {idx} out of range")
+        n, model = self.formation.n, self.agents
+        pert = self.controller.perturbation
+        per_agent = {
+            "agents.actuators": model.actuators,
+            "controller.perturbation.c": pert and pert.c,
+            "controller.perturbation.alpha": pert and pert.alpha,
+            "frame_angles": self.frame_angles,
+        }
+        for name, values in per_agent.items():
+            if values is not None and len(values) != n:
+                raise ConfigurationError(
+                    f"{name} has {len(values)} entries; expected {n}, one per agent"
+                )
+        vehicle = model.dynamics in ("unicycle", "car")
+        if vehicle and not model.kinematic_only and model.actuators is None:
+            raise ConfigurationError(
+                f"a dynamic {model.dynamics} (kinematic_only false) needs agents.actuators"
+            )
         if self.sim.init.kind == "explicit":
             shape = np.shape(self.sim.init.states)
-            n, dim = self.formation.n, self.agents.state_dim()
+            dim = model.state_dim()
             if shape not in ((n, 2), (n, dim)):
                 raise ConfigurationError(
                     f"sim.init.states has shape {shape}; expected ({n}, 2) or ({n}, {dim})"

@@ -84,6 +84,38 @@ MALFORMED = {
     "non_numeric_dt": (
         "scenario", lambda d: d["sim"].update(dt="fast"),
         "sim.dt must be of type float; got 'fast'"),
+    "two_actuator_rows_for_three_agents": (
+        "scenario", lambda d: d["agents"].update(actuators=[[5.0, 6.0, 7.0, 8.0]] * 2),
+        "agents.actuators has 2 entries; expected 3"),
+    "two_perturbation_gains_for_three_agents": (
+        "scenario", lambda d: d["controller"].update(
+            perturbation={"c": [1.0, 1.0], "alpha": [0.1, 0.1, 0.1]}),
+        "controller.perturbation.c has 2 entries; expected 3"),
+    "two_perturbation_angles_for_three_agents": (
+        "scenario", lambda d: d["controller"].update(
+            perturbation={"c": [1.0, 1.0, 1.0], "alpha": [0.1, 0.1]}),
+        "controller.perturbation.alpha has 2 entries; expected 3"),
+    "two_frame_angles_for_three_agents": (
+        "scenario", lambda d: d.update(frame_angles=[0.1, 0.2]),
+        "frame_angles has 2 entries; expected 3"),
+    "unknown_drive": (
+        "scenario", lambda d: d["agents"].update(dynamics="car", drive="sideways"),
+        "unknown drive type 'sideways'"),
+    "misspelt_actuator_mode": (
+        "scenario", lambda d: d["controller"].update(actuator_mode="velocity_feedbak"),
+        "unknown actuator mode 'velocity_feedbak'"),
+    "velocity_feedback_without_k_s": (
+        "scenario", lambda d: d["controller"].update(actuator_mode="velocity_feedback"),
+        "velocity_feedback mode requires k_s"),
+    "dynamic_car_without_actuators": (
+        "scenario", lambda d: d["agents"].update(dynamics="car", kinematic_only=False),
+        "a dynamic car (kinematic_only false) needs agents.actuators"),
+    "string_kinematic_only": (
+        "scenario", lambda d: d["agents"].update(dynamics="car", kinematic_only="false"),
+        "agents.kinematic_only must be of type bool; got 'false'"),
+    "string_formation_center": (
+        "scenario", lambda d: d["formation"].update(center="no"),
+        "formation.center must be of type bool; got 'no'"),
 }
 
 
@@ -100,6 +132,26 @@ def test_malformed_document_is_one_line_parse_error(workdir, capsys, case):
     assert main(["verify", "g.json", "tri.yaml", "--quiet"]) == EXIT_PARSE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize("case", [
+    "two_actuator_rows_for_three_agents", "two_perturbation_gains_for_three_agents",
+    "two_frame_angles_for_three_agents", "unknown_drive", "misspelt_actuator_mode",
+    "velocity_feedback_without_k_s", "dynamic_car_without_actuators",
+])
+def test_vehicle_and_per_agent_errors_refused_before_stepping(workdir, capsys, case):
+    _, mutate, named = MALFORMED[case]
+    write_triangle(workdir / "tri.yaml")
+    assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
+    rewrite(workdir / "tri.yaml", mutate)
+    capsys.readouterr()
+    assert main(["design", "tri.yaml", "-o", "h.json", "--quiet"]) == EXIT_PARSE
+    assert main(["simulate", "tri.yaml", "g.json", "-o", "out.csv",
+                 "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") and named in line
+                                 for line in err)
+    assert not (workdir / "h.json").exists() and not (workdir / "out.csv").exists()
 
 
 @pytest.mark.parametrize("init, named", [

@@ -1,18 +1,22 @@
 """Scenario YAML and gains JSON serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+import yaml
 
 from bcbform.collision import AvoidanceConfig
 from bcbform.controllers import ControllerConfig, PerturbationConfig, ScaleConfig
+from bcbform.cli import DEMO_NAMES, demo_scenario
 from bcbform.dynamics import ActuatorParams
 from bcbform.errors import ConfigurationError
 from bcbform.gains import design_gains, verify_gains
 from bcbform.geometry import FormationSpec, SensingGraph, build_kernel_basis
 from bcbform.io import (
+    _SECTIONS,
     load_gains,
     load_scenario,
     save_gains,
@@ -64,6 +68,15 @@ class TestScenarioRoundTrip:
                            doc.pop("formation")["coordinates"], atol=1e-15)
         assert doc2 == doc
 
+    def test_uncentered_formation_round_trip(self):
+        spec = FormationSpec.from_coordinates([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)],
+                                              center=False)
+        scenario = Scenario(formation=spec, topologies=(SensingGraph(3, [(1, 2), (2, 3)]),),
+                            schedule=((0.0, 0),))
+        back, _ = scenario_from_dict(scenario_to_dict(scenario))
+        assert not back.formation.centered
+        assert np.array_equal(back.formation.q_star, spec.q_star)
+
     def test_file_round_trip(self, tmp_path):
         scenario = rich_scenario()
         path = tmp_path / "scenario.yaml"
@@ -96,6 +109,121 @@ class TestScenarioRoundTrip:
         assert back.controller.scale.d_star == d_star
         assert back.controller.scale.k_f == 2.0
         assert np.array_equal(np.asarray(back.sim.init.states), states)
+
+
+def assert_same_scenario(a, b, atol=0.0):
+    """Section-by-section equality; ``atol`` covers re-centering on load."""
+    assert np.allclose(a.formation.q_star, b.formation.q_star, rtol=0.0, atol=atol)
+    for name in ("topologies", "schedule", "agents", "controller", "avoidance", "sim",
+                 "frame_angles"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+# Documents as the previous writer saved the car9 and triangle demos; it left
+# out fields that did not apply to the dynamics class and most defaults.  The
+# car9 actuator rows are cut down to one repeated row.
+OLD_CAR9 = """
+version: 1
+formation:
+  coordinates: [[-4.0, 4.0], [0.0, 4.0], [4.0, 4.0], [-4.0, 0.0], [0.0, 0.0], [4.0, 0.0],
+    [-4.0, -4.0], [0.0, -4.0], [4.0, -4.0]]
+graphs:
+  complete9: [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], [1, 8], [1, 9], [2, 3],
+    [2, 4], [2, 5], [2, 6], [2, 7], [2, 8], [2, 9], [3, 4], [3, 5], [3, 6], [3, 7],
+    [3, 8], [3, 9], [4, 5], [4, 6], [4, 7], [4, 8], [4, 9], [5, 6], [5, 7], [5, 8],
+    [5, 9], [6, 7], [6, 8], [6, 9], [7, 8], [7, 9], [8, 9]]
+schedule:
+- [0.0, complete9]
+agents:
+  dynamics: car
+  kinematic_only: false
+  actuators: [[5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0],
+    [5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0],
+    [5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0], [5.0, 6.0, 7.0, 8.0]]
+  wheelbase: 1.0
+  drive: front
+controller: {v_max: 3.0, omega_max: 0.7853981633974483, phi_max: 0.7853981633974483, k_s: 5.0,
+  actuator_mode: velocity_feedback}
+sim:
+  dt: 0.01
+  t_final: 80.0
+  seed: 42
+  convergence_threshold: 0.01
+  measurement_noise: 0.0
+  init:
+    kind: box
+    low: [-8.0, -8.0]
+    high: [8.0, 8.0]
+"""
+
+OLD_TRIANGLE = """
+version: 1
+formation:
+  coordinates:
+  - [2.5199069945433693e-16, 2.0000000000000004]
+  - [-0.8660254037844384, 0.5000000000000002]
+  - [-1.732050807568877, -0.9999999999999999]
+  - [-9.25185853854297e-17, -1.0]
+  - [1.732050807568877, -1.0000000000000004]
+  - [0.8660254037844386, 0.4999999999999999]
+graphs:
+  triangle6: [[1, 2], [1, 3], [1, 5], [1, 6], [2, 3], [3, 4], [3, 5], [4, 5], [5, 6]]
+schedule:
+- [0.0, triangle6]
+agents: {dynamics: single_integrator}
+controller: {}
+sim:
+  dt: 0.01
+  t_final: 40.0
+  seed: 42
+  convergence_threshold: 0.001
+  measurement_noise: 0.0
+  init:
+    kind: box
+    low: [-5.0, -5.0]
+    high: [5.0, 5.0]
+"""
+
+
+class TestScenarioSchemaTable:
+    @pytest.mark.parametrize("section", sorted(_SECTIONS))
+    def test_every_field_has_a_parser(self, section):
+        cls, parsers = _SECTIONS[section]
+        assert set(parsers) == {f.name for f in dataclasses.fields(cls)}
+
+    def test_absent_sections_take_dataclass_defaults(self):
+        doc = scenario_to_dict(demo_scenario("triangle")[0])
+        minimal = {key: doc[key] for key in ("version", "formation", "graphs", "schedule")}
+        scenario, _ = scenario_from_dict(minimal)
+        assert scenario.agents == AgentModel()
+        assert scenario.controller == ControllerConfig()
+        assert scenario.sim == SimConfig()
+        assert scenario.avoidance is None and scenario.frame_angles is None
+
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_demo_round_trip(self, name):
+        scenario, names, _ = demo_scenario(name)
+        doc = scenario_to_dict(scenario, names)
+        for key in ("agents", "controller", "sim"):
+            section = getattr(scenario, key)
+            assert list(doc[key]) == [f.name for f in dataclasses.fields(section)
+                                      if getattr(section, f.name) is not None]
+        back, back_names = scenario_from_dict(doc)
+        assert back_names == names
+        assert_same_scenario(back, scenario, atol=1e-15)
+
+    @pytest.mark.parametrize("old, name", [(OLD_CAR9, "car9"), (OLD_TRIANGLE, "triangle")])
+    def test_previously_written_documents_load_unchanged(self, old, name):
+        scenario, names, _ = demo_scenario(name)
+        if scenario.agents.actuators is not None:
+            rows = (ActuatorParams(5.0, 6.0, 7.0, 8.0),) * scenario.formation.n
+            scenario = dataclasses.replace(
+                scenario, agents=dataclasses.replace(scenario.agents, actuators=rows)
+            )
+        written, _ = scenario_from_dict(scenario_to_dict(scenario, names))
+        loaded, loaded_names = scenario_from_dict(yaml.safe_load(old))
+        assert loaded_names == names
+        assert_same_scenario(loaded, written)
 
 
 class TestScenarioSchema:
