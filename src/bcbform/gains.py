@@ -277,21 +277,38 @@ class _EdgeOperator:
         vals = vals.reshape(self.m, -1, 2).sum(axis=-1) * self.sign
         return np.bincount(self.index.ravel(), weights=vals.ravel(), minlength=self.dim)
 
-    def gram(self, out=None, chunk_rows: int = 256) -> NDArray[np.float64]:
+    def gram(self, out=None, chunk_rows: int = 128) -> NDArray[np.float64]:
         """B^T B: <L_u^T R_u, L_v^T R_v> is the sum of (L_u L_v^T) * (R_u R_v^T).
 
         Added into ``out`` (a zeroed dim x dim array or view) when given.
-        Factor rows are taken ``chunk_rows`` at a time, so no temporary
-        grows beyond chunk_rows x (4 |E|)."""
+        Factor rows are taken ``chunk_rows`` at a time against the rows from
+        the chunk's first onward, so each pair of variables is formed once;
+        a pair beyond the chunk fills both of its entries, summing its 2 x 2
+        block in the two orders a row-by-row fill would.  No temporary grows
+        beyond chunk_rows x (4 |E|)."""
         G = np.zeros((self.dim, self.dim)) if out is None else out
         for L, R, idx, sgn in self.parts:
             nvar = idx.size
             for lo in range(0, 2 * nvar, chunk_rows):
                 hi = min(lo + chunk_rows, 2 * nvar)
-                blk = (L[lo:hi] @ L.T) * (R[lo:hi] @ R.T)
-                blk = blk.reshape((hi - lo) // 2, 2, nvar, 2).sum(axis=(1, 3))
-                rows = slice(lo // 2, hi // 2)
-                G[np.ix_(idx[rows], idx)] += blk * np.outer(sgn[rows], sgn)
+                rows, cols = slice(lo // 2, hi // 2), slice(lo // 2, nvar)
+                beyond = slice(hi // 2, nvar)
+                blk = (L[lo:hi] @ L[lo:].T) * (R[lo:hi] @ R[lo:].T)
+                pairs = blk[:, 0::2] + blk[:, 1::2]
+                upper = pairs[0::2]
+                upper += pairs[1::2]
+                upper *= sgn[rows, None]
+                upper *= sgn[cols]
+                G[np.ix_(idx[rows], idx[cols])] += upper
+                # Summed in place: blk is not read again.
+                rows_summed = blk[0::2, hi - lo :]
+                rows_summed += blk[1::2, hi - lo :]
+                lower = rows_summed[:, 0::2]
+                lower += rows_summed[:, 1::2]
+                lower *= sgn[rows, None]
+                lower *= sgn[beyond]
+                G[np.ix_(idx[beyond], idx[rows])] += lower.T
+                del blk, pairs, upper, rows_summed, lower  # before the next products
         return G
 
 

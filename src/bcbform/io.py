@@ -39,10 +39,14 @@ def _typed(value, kind: type, where: str):
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, refusing a value that is not a finite number."""
+    """``kind(value)``, refusing a value that is not a finite number.
+
+    YAML booleans and strings are refused, although ``float`` takes them."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         number = kind(value)
-        if kind is int and number != value:  # int() truncates 1.7 and parses "1"
+        if kind is int and number != value:  # int() truncates 1.7
             raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
@@ -257,7 +261,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
 def load_scenario(path: str) -> tuple[Scenario, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)

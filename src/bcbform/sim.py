@@ -4,7 +4,9 @@ One engine covers all dynamics classes.  Each step evaluates the whole team
 at once: the gain blocks times the relative measurements over the sensing
 edges, summed per agent, plus the chain, scale, integral and perturbation
 terms; avoidance per agent; projection and saturation; and one classical
-RK4 step of the (n, state_dim) state under zero-order-hold commands.  The
+RK4 step of the (n, state_dim) state under zero-order-hold commands.  When
+that step is linear in the team state, it is probed once per topology into
+its one-step matrix and applied as one matrix-vector product per step.  The
 metrics are computed once from the stored log.  Per-agent measurement
 frames (``Scenario.frame_angles``) do not enter the step: the blocks
 a*I + b*K commute with every rotation, so no common orientation is needed.
@@ -172,13 +174,7 @@ def active_topology(schedule, t: float) -> int:
     """Index of the topology active at time ``t`` (closed on the left)."""
     if t < 0:
         raise DimensionError("time must be nonnegative")
-    idx = schedule[0][1]
-    for t_k, k in schedule:
-        if t_k <= t:
-            idx = k
-        else:
-            break
-    return idx
+    return int(_topology_indices(schedule, np.array([t]))[0])
 
 
 @dataclass
@@ -407,6 +403,57 @@ def _advance(
     return out
 
 
+def _one_step_map(scenario: Scenario, edges: _EdgeArrays, dim: int, dt: float):
+    """(T, F) of a loop that is linear in the stacked team state x: one step
+    takes x to T x and logs the command F x.  Column j is the step taken
+    from the j-th unit state, so T and F are the step the simulator applies."""
+    n = scenario.formation.n
+    T = np.empty((n * dim, n * dim))
+    F = np.empty((2 * n, n * dim))
+    for j in range(n * dim):
+        states = np.zeros((n, dim))
+        states.flat[j] = 1.0
+        us, _ = _team_command(scenario, edges, states, None, dt, None)
+        cmds = _project_commands(scenario, states, us)
+        F[:, j] = cmds.ravel()
+        T[:, j] = _advance(scenario, states, cmds, dt, None).ravel()
+    return T, F
+
+
+def _map_radius(T: NDArray[np.float64], basis: KernelBasis, full_A: bool) -> float:
+    """Spectral radius of T off the similarity modes it leaves invariant.
+
+    Those are the four modes of the positions with every derivative at zero,
+    which the law maps to a zero command, and for the full_A chain the four
+    modes of every derivative level, which it sees only through A_k.  With
+    W the orthonormal complement of those modes, T is block triangular in
+    (modes, W), so its other eigenvalues are those of W^T T W."""
+    n2 = basis.Q.shape[0]
+    levels = T.shape[0] // n2
+    agent, axis = np.divmod(np.arange(n2), 2)
+    blocks = [basis.Q if level == 0 or full_A else np.eye(n2) for level in range(levels)]
+    W = np.zeros((T.shape[0], sum(b.shape[1] for b in blocks)))
+    col = 0
+    for level, block in enumerate(blocks):
+        W[2 * levels * agent + 2 * level + axis, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    return float(np.max(np.abs(np.linalg.eigvals(W.T @ T @ W))))
+
+
+def _topology_indices(schedule, t: NDArray[np.float64]) -> NDArray[np.int64]:
+    """Topology index at each (nonnegative) time of ``t``: that of the last
+    schedule entry at or before it."""
+    times = np.array([t_k for t_k, _ in schedule])
+    index = np.array([k for _, k in schedule], dtype=np.int64)
+    return index[np.searchsorted(times, t, side="right") - 1]
+
+
+def _stretches(topo: NDArray[np.int64]):
+    """(first, end) of each stretch of steps with constant topology."""
+    cuts = np.flatnonzero(np.diff(topo)) + 1
+    return zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(topo)].tolist())
+
+
 def _convergence_time(t: NDArray[np.float64], err: NDArray[np.float64], threshold: float):
     """Start of the first stretch of steps with ``err < threshold`` whose
     last step is at least CONVERGENCE_SUSTAIN after its first, else None."""
@@ -421,8 +468,7 @@ def _quadratic_values(q: NDArray[np.float64], topo: NDArray[np.int64], gains):
     """-1/2 q^T A q per row of ``q``, with A the gain of that row's topology,
     taken one stretch of constant topology at a time so rows are not copied."""
     out = np.empty(len(q))
-    cuts = np.flatnonzero(np.diff(topo)) + 1
-    for first, end in zip(np.r_[0, cuts], np.r_[cuts, len(q)]):
+    for first, end in _stretches(topo):
         out[first:end] = lyapunov_value(q[first:end], gains[topo[first]].assembled)
     return out
 
@@ -483,6 +529,16 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         and cfg.perturbation is None
         and not integral_law
     )
+    # Without avoidance, saturation, the scale and integral laws and noise,
+    # the step is linear in the team state: it is stepped by its matrix.
+    by_map = (
+        model.dynamics in ("single_integrator", "chain")
+        and scenario.avoidance is None
+        and cfg.u_max is None
+        and scale is None
+        and not integral_law
+        and scenario.sim.measurement_noise == 0.0
+    )
     basis = build_kernel_basis(scenario.formation)
     for k, (report, _, failure) in enumerate(check_gains(scenario, gains, basis)):
         if failure is not None:
@@ -493,10 +549,20 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
                 f"sim.dt={dt:g} is not below the stability bound 2/rho(A)={2.0 / rho:.6g} "
                 f"of topology {k}; the single-integrator loop would diverge"
             )
-    orders = model.chain_order + 1 if chain and cfg.chain_variant == "full_A" else 1
+    full_A = chain and cfg.chain_variant == "full_A"
+    orders = model.chain_order + 1 if full_A else 1
     edges = [
         _edge_arrays(g, gm, scale, orders) for g, gm in zip(scenario.topologies, gains)
     ]
+    dim = model.state_dim()
+    maps = [_one_step_map(scenario, e, dim, dt) for e in edges] if by_map else None
+    for k, (T, _) in enumerate(maps or ()):
+        radius = _map_radius(T, basis, full_A)
+        if radius >= 1.0:
+            raise ConfigurationError(
+                f"sim.dt={dt:g} gives the one-step map of topology {k} spectral radius "
+                f"{radius:.6g} >= 1 off the similarity modes; the loop would diverge"
+            )
     integral = None
     if integral_law:
         if cfg.k0_int <= 0 or cfg.k1_int < 0:
@@ -513,21 +579,28 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
 
     t_arr = np.arange(steps) * dt
-    states_log = np.zeros((steps, n, states.shape[1]))
+    states_log = np.zeros((steps, n, dim))
     cmds_log = np.zeros((steps, n, 2))
-    topo_log = np.zeros(steps, dtype=np.int64)
+    topo_log = _topology_indices(scenario.schedule, t_arr)
 
-    for k in range(steps):
-        topo_idx = active_topology(scenario.schedule, t_arr[k])
-        us, next_integral = _team_command(
-            scenario, edges[topo_idx], states, integral, dt, rng
-        )
-        states_log[k] = states
-        cmds_log[k] = _project_commands(scenario, states, us)
-        topo_log[k] = topo_idx
-        if k + 1 < steps:
-            states = _advance(scenario, states, cmds_log[k], dt, params)
-            integral = next_integral
+    if maps is not None:
+        X = states_log.reshape(steps, -1)
+        X[0] = states.ravel()
+        for first, end in _stretches(topo_log):
+            T, F = maps[topo_log[first]]
+            for k in range(first, min(end, steps - 1)):
+                np.matmul(T, X[k], out=X[k + 1])
+            np.matmul(X[first:end], F.T, out=cmds_log.reshape(steps, -1)[first:end])
+    else:
+        for k, topo_idx in enumerate(topo_log.tolist()):
+            us, next_integral = _team_command(
+                scenario, edges[topo_idx], states, integral, dt, rng
+            )
+            states_log[k] = states
+            cmds_log[k] = _project_commands(scenario, states, us)
+            if k + 1 < steps:
+                states = _advance(scenario, states, cmds_log[k], dt, params)
+                integral = next_integral
 
     positions = states_log[:, :, :2]
     q = positions.reshape(steps, -1)

@@ -84,6 +84,15 @@ MALFORMED = {
     "non_numeric_dt": (
         "scenario", lambda d: d["sim"].update(dt="fast"),
         "sim.dt must be of type float; got 'fast'"),
+    "boolean_dt": (
+        "scenario", lambda d: d["sim"].update(dt=True),
+        "sim.dt must be of type float; got True"),
+    "boolean_seed": (
+        "scenario", lambda d: d["sim"].update(seed=True),
+        "sim.seed must be of type int; got True"),
+    "numeric_string_dt": (
+        "scenario", lambda d: d["sim"].update(dt="0.02"),
+        "sim.dt must be of type float; got '0.02'"),
     "two_actuator_rows_for_three_agents": (
         "scenario", lambda d: d["agents"].update(actuators=[[5.0, 6.0, 7.0, 8.0]] * 2),
         "agents.actuators has 2 entries; expected 3"),

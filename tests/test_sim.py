@@ -476,3 +476,185 @@ class TestLogConsistency:
             assert log.min_distance[k] == pytest.approx(
                 min_pairwise_distance(log.positions()[k]), abs=1e-12
             )
+
+
+HEX_CYCLE = [(i, i % 6 + 1) for i in range(1, 7)]
+HEX_CHORDS = HEX_CYCLE + [(1, 4), (2, 5), (3, 6)]
+SWITCHING = ((0.0, 0), (0.5, 1), (1.23, 0), (1.5, 1))
+
+
+@pytest.fixture(scope="module")
+def hex_switching():
+    """The hexagon on its cycle and on the cycle with its long diagonals."""
+    spec = FormationSpec.from_coordinates(HEX_POINTS)
+    graphs = (SensingGraph(6, HEX_CYCLE), SensingGraph(6, HEX_CHORDS))
+    return graphs, [design_gains(g, spec)[0] for g in graphs]
+
+
+def stepwise(scenario, gains):
+    """States and commands of run's step loop, one _team_command,
+    _project_commands and _advance call per step."""
+    model, cfg, dt = scenario.agents, scenario.controller, scenario.sim.dt
+    chain = model.dynamics == "chain"
+    scale = None if chain else cfg.scale
+    orders = model.chain_order + 1 if chain and cfg.chain_variant == "full_A" else 1
+    edges = [sim_module._edge_arrays(g, gm, scale, orders)
+             for g, gm in zip(scenario.topologies, gains)]
+    integral = None
+    if not chain and scale is None and cfg.k0_int is not None:
+        integral = (np.zeros((6, 2)), None)
+    rng = np.random.default_rng(scenario.sim.seed)
+    states = sim_module._initial_states(scenario, rng)
+    steps = int(math.floor(scenario.sim.t_final / dt)) + 1
+    states_log, cmds_log = [], []
+    for k in range(steps):
+        topo = active_topology(scenario.schedule, k * dt)
+        us, next_integral = sim_module._team_command(scenario, edges[topo], states,
+                                                     integral, dt, rng)
+        cmds = sim_module._project_commands(scenario, states, us)
+        states_log.append(states)
+        cmds_log.append(cmds)
+        if k + 1 < steps:
+            states = sim_module._advance(scenario, states, cmds, dt, None)
+            integral = next_integral
+    return np.array(states_log), np.array(cmds_log)
+
+
+def switching_scenario(graphs, switching, model, controller):
+    rng = np.random.default_rng(21)
+    init = InitSpec(kind="explicit", states=rng.uniform(-3.0, 3.0, size=(6, model.state_dim())))
+    return Scenario(
+        formation=FormationSpec.from_coordinates(HEX_POINTS),
+        topologies=graphs if switching else graphs[:1],
+        schedule=SWITCHING if switching else ((0.0, 0),),
+        agents=model,
+        controller=controller,
+        sim=SimConfig(t_final=2.0, init=init),
+    )
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(sim_module, name)
+    monkeypatch.setattr(sim_module, name, lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+class TestOneStepMap:
+    LINEAR = ("consensus", "perturbation", "chain_identity", "chain_full_A")
+
+    @pytest.mark.parametrize("switching", [False, True], ids=["fixed", "switching"])
+    @pytest.mark.parametrize("law", LINEAR)
+    def test_matches_stage_by_stage_step(self, hex_switching, monkeypatch, law, switching):
+        graphs, gains = hex_switching
+        model, controller = TEAM_LAWS[law]
+        scenario = switching_scenario(graphs, switching, model, controller)
+        gains = gains[: len(scenario.topologies)]
+        calls = count_calls(monkeypatch, "_team_command")
+        log = run(scenario, gains)
+        # Only the probes: one command per unit state and topology.
+        assert len(calls) == len(gains) * 6 * model.state_dim()
+        states, cmds = stepwise(scenario, gains)
+        assert log.t.size == 201
+        assert np.max(np.abs(log.states - states)) <= 1e-12
+        assert np.max(np.abs(log.commands - cmds)) <= 1e-12
+        if switching:
+            assert set(log.topology_index.tolist()) == {0, 1}
+
+    BYPASS = {
+        "avoidance": dict(avoidance=AvoidanceConfig(r=0.1, d_c=0.25, margin=0.01)),
+        "u_max": dict(controller=ControllerConfig(u_max=0.5)),
+        "scale": dict(controller=TEAM_LAWS["scale"][1]),
+        "integral": dict(controller=TEAM_LAWS["integral"][1]),
+        "noise": dict(sim=SimConfig(t_final=2.0, seed=4, measurement_noise=0.05)),
+        "unicycle": dict(agents=AgentModel(dynamics="unicycle")),
+        "car": dict(agents=AgentModel(dynamics="car", drive="rear")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BYPASS))
+    def test_other_runs_keep_the_stage_by_stage_step(self, hex_gains, monkeypatch, case):
+        scenario, _ = hexagon_scenario(**{"sim": SimConfig(t_final=2.0), **self.BYPASS[case]})
+        calls = count_calls(monkeypatch, "_team_command")
+        log = run(scenario, hex_gains)
+        assert len(calls) == log.t.size
+        states, cmds = stepwise(scenario, hex_gains)
+        assert np.array_equal(log.states, states)
+        assert np.array_equal(log.commands, cmds)
+
+
+def bisect_bound(radius, lo, hi):
+    """The dt in [lo, hi] at which radius(dt) reaches 1."""
+    assert radius(lo) < 1.0 <= radius(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < 1.0 else (lo, mid)
+    return lo
+
+
+def chain_mode_radius(mus, k, variant, dt):
+    """Spectral radius of the chain's zero-order-hold step, mode by mode.
+
+    Per eigenvalue mu of A the state (q, q', ..., q^(m)) takes
+    q_i+ = sum_j q_j dt^(j-i)/(j-i)! + u dt^(m+1-i)/(m+1-i)!, which RK4
+    reproduces exactly for m <= 3.  A zero mu contributes its derivative
+    levels under identity_derivatives and nothing under full_A, where those
+    modes drift along the similarity modes.
+    """
+    m = len(k) - 1
+    shift = [[dt ** (j - i) / math.factorial(j - i) if j >= i else 0.0
+              for j in range(m + 1)] for i in range(m + 1)]
+    held = [dt ** (m + 1 - i) / math.factorial(m + 1 - i) for i in range(m + 1)]
+    worst = 0.0
+    for mu in mus:
+        if variant == "full_A":
+            if mu == 0.0:
+                continue
+            gain = [kj * mu for kj in k]
+        else:
+            gain = [k[0] * mu] + [-kj for kj in k[1:]]
+        T = np.array(shift) + np.outer(held, gain)
+        if mu == 0.0:
+            T = T[1:, 1:]
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(T)))))
+    return worst
+
+
+class TestDiscreteStabilityGuard:
+    """Loops stepped by their one-step map are refused at spectral radius 1."""
+
+    def check_bound(self, hex_gains, bound, **overrides):
+        for factor, refused in ((1.001, True), (0.999, False)):
+            dt = bound * factor
+            scenario, _ = hexagon_scenario(sim=SimConfig(dt=dt, t_final=10 * dt), **overrides)
+            if refused:
+                with pytest.raises(ConfigurationError) as exc:
+                    run(scenario, hex_gains)
+                msg = str(exc.value)
+                assert "topology 0" in msg and f"sim.dt={dt:g}" in msg
+                assert float(msg.split("spectral radius ")[1].split()[0]) >= 1.0
+            else:
+                assert run(scenario, hex_gains).t.size == 11
+
+    @pytest.mark.parametrize("variant", ["identity_derivatives", "full_A"])
+    def test_chain_refused_beyond_bound(self, hex_gains, variant):
+        eig = np.linalg.eigvalsh(hex_gains[0].assembled)
+        mus = [0.0 if abs(mu) < 1e-9 else float(mu) for mu in eig]
+        bound = bisect_bound(lambda dt: chain_mode_radius(mus, CHAIN_K, variant, dt),
+                             1e-3, 10.0)
+        model = AgentModel(dynamics="chain", chain_order=3)
+        controller = ControllerConfig(k_chain=CHAIN_K, chain_variant=variant)
+        self.check_bound(hex_gains, bound, agents=model, controller=controller)
+
+    def test_perturbation_refused_beyond_bound(self, hex_gains):
+        # u = P A q with P = diag(c_i R(alpha_i)): q+ = (I + dt P A) q, and
+        # |1 + dt lam| < 1 for an eigenvalue lam != 0 of P A while
+        # dt < -2 Re(lam) / |lam|^2.
+        pert = TEAM_LAWS["perturbation"][1].perturbation
+        P = np.zeros((12, 12))
+        for i, (c, a) in enumerate(zip(pert.c, pert.alpha)):
+            P[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = c * rotation(a)
+        lam = np.linalg.eigvals(P @ hex_gains[0].assembled)
+        lam = lam[np.abs(lam) > 1e-9]
+        assert lam.size == 8
+        bound = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+        self.check_bound(hex_gains, bound, controller=TEAM_LAWS["perturbation"][1])
