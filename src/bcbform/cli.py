@@ -69,12 +69,11 @@ def write_svg(path: str, log, scenario: Scenario) -> None:
     pad = 0.05 * span
     x_lo, y_lo, span = x_lo - pad, y_lo - pad, span + 2 * pad
 
-    def sx(x):
-        return (x - x_lo) / span * size
-
-    def sy(y):
-        # SVG y grows downward.
-        return size - (y - y_lo) / span * size
+    def pixels(rows):
+        """Pixel coordinates (x, y) of position rows as lists; SVG y grows downward."""
+        px = (rows[..., 0] - x_lo) / span * size
+        py = size - (rows[..., 1] - y_lo) / span * size
+        return px.tolist(), py.tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -82,31 +81,30 @@ def write_svg(path: str, log, scenario: Scenario) -> None:
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     # Final formation edges from the first topology active at the end.
-    final = pos[-1]
+    fx, fy = pixels(pos[-1])
     graph = scenario.topologies[int(log.topology_index[-1])]
     for i, j in graph.edge_list:
         parts.append(
-            f'<line x1="{sx(final[i - 1, 0]):.2f}" y1="{sy(final[i - 1, 1]):.2f}" '
-            f'x2="{sx(final[j - 1, 0]):.2f}" y2="{sy(final[j - 1, 1]):.2f}" '
+            f'<line x1="{fx[i - 1]:.2f}" y1="{fy[i - 1]:.2f}" '
+            f'x2="{fx[j - 1]:.2f}" y2="{fy[j - 1]:.2f}" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
+    # Agent-major point lists of every stride-th step, the first one included.
     stride = max(1, pos.shape[0] // 2000)
+    px, py = pixels(pos[::stride].transpose(1, 0, 2))
     for i in range(n):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(xs[k, i]):.2f},{sy(ys[k, i]):.2f}"
-            for k in range(0, pos.shape[0], stride)
-        )
+        points = " ".join(map("{:.2f},{:.2f}".format, px[i], py[i]))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             'stroke-width="1.2"/>'
         )
         parts.append(
-            f'<circle cx="{sx(xs[0, i]):.2f}" cy="{sy(ys[0, i]):.2f}" r="4" '
+            f'<circle cx="{px[i][0]:.2f}" cy="{py[i][0]:.2f}" r="4" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<circle cx="{sx(xs[-1, i]):.2f}" cy="{sy(ys[-1, i]):.2f}" r="3" '
+            f'<circle cx="{fx[i]:.2f}" cy="{fy[i]:.2f}" r="3" '
             f'fill="{color}"/>'
         )
     parts.append("</svg>")

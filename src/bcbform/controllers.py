@@ -199,7 +199,7 @@ def higher_order_control(
 
 def _check_unit(vec, name: str) -> NDArray[np.float64]:
     v = np.asarray(vec, dtype=np.float64)
-    if np.any(np.abs(row_norms(v) - 1.0) > 1e-9):
+    if (np.abs(row_norms(v) - 1.0) > 1e-9).any():
         raise ConfigurationError(f"{name} vector must be unit norm")
     return v
 
@@ -209,9 +209,12 @@ def _check_drive(drive: str) -> None:
         raise ConfigurationError(f"unknown drive type {drive!r}")
 
 
+_LEFT_NORMAL = np.array([-1.0, 1.0])  # (h0, h1) reversed and times this: (-h1, h0)
+
+
 def _project(h, u):
     """Components of ``u`` along the unit vector ``h`` and its left normal."""
-    h_perp = np.stack([-h[..., 1], h[..., 0]], axis=-1)
+    h_perp = h[..., ::-1] * _LEFT_NORMAL
     return row_dot(h, u)[()], row_dot(h_perp, u)[()]
 
 

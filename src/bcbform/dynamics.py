@@ -26,9 +26,22 @@ class ActuatorParams:
     d: float = 1.0
 
 
-def heading_vector(theta) -> NDArray[np.float64]:
-    """Unit vector (cos theta, sin theta); an array of angles gives (..., 2)."""
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+def _field_out(out, state, inputs, dim: int) -> NDArray[np.float64]:
+    """``out``, or a new array with one row of ``dim`` entries per stacked row
+    of ``state`` and ``inputs``."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(state.shape[:-1], inputs.shape[:-1]) + (dim,))
+    return out
+
+
+def heading_vector(theta, out=None) -> NDArray[np.float64]:
+    """Unit vector (cos theta, sin theta); an array of angles gives (..., 2),
+    written into ``out`` when given."""
+    if out is None:
+        out = np.empty(np.shape(theta) + (2,))
+    out[..., 0] = np.cos(theta)
+    out[..., 1] = np.sin(theta)
+    return out
 
 
 def deriv_single_integrator(u) -> NDArray[np.float64]:
@@ -36,17 +49,21 @@ def deriv_single_integrator(u) -> NDArray[np.float64]:
     return np.asarray(u, dtype=np.float64)
 
 
-def deriv_chain(state: NDArray[np.floating], u, m: int) -> NDArray[np.float64]:
+def deriv_chain(
+    state: NDArray[np.floating], u, m: int, out=None
+) -> NDArray[np.float64]:
     """Chain of integrators: each derivative feeds the one below, u at the top.
 
-    ``state`` stacks (q, q(1), ..., q(m)) as 2(m+1) entries along its last axis.
+    ``state`` stacks (q, q(1), ..., q(m)) as 2(m+1) entries along its last
+    axis; the field is written into ``out`` when given.
     """
     state = np.asarray(state, dtype=np.float64)
     if state.shape[-1] != 2 * (m + 1):
         raise DimensionError(
             f"chain state length {state.shape[-1]} does not match order m={m}"
         )
-    out = np.empty_like(state)
+    if out is None:
+        out = np.empty_like(state)
     out[..., :-2] = state[..., 2:]
     out[..., -2:] = u
     return out
@@ -57,30 +74,28 @@ def deriv_unicycle(
     inputs,
     params: ActuatorParams | None = None,
     kinematic_only: bool = True,
+    out=None,
 ) -> NDArray[np.float64]:
     """Unicycle field.  Kinematic state (x, y, theta) with inputs (v, omega);
     dynamic state (x, y, theta, v, omega) with inputs (s, r).  Rows may be
-    stacked, one per agent, with scalar or per-agent ``params`` fields."""
+    stacked, one per agent, with scalar or per-agent ``params`` fields.  The
+    field is written into ``out`` when given."""
     state = np.asarray(state, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
     theta = state[..., 2]
     if kinematic_only:
         v, omega = inputs[..., 0], inputs[..., 1]
-        return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
-    if params is None:
+    elif params is None:
         raise ConfigurationError("actuator params required for the dynamic unicycle")
-    v, omega = state[..., 3], state[..., 4]
-    s, r = inputs[..., 0], inputs[..., 1]
-    return np.stack(
-        [
-            v * np.cos(theta),
-            v * np.sin(theta),
-            omega,
-            -params.a * v + params.b * s,
-            -params.c * omega + params.d * r,
-        ],
-        axis=-1,
-    )
+    else:
+        v, omega = state[..., 3], state[..., 4]
+    out = _field_out(out, state, inputs, 3 if kinematic_only else 5)
+    np.multiply(v, np.cos(theta), out=out[..., 0])
+    np.multiply(v, np.sin(theta), out=out[..., 1])
+    out[..., 2] = omega
+    if not kinematic_only:
+        _actuator_rates(params, v, omega, inputs, out[..., 3:])
+    return out
 
 
 def deriv_car(
@@ -90,10 +105,11 @@ def deriv_car(
     params: ActuatorParams | None = None,
     kinematic_only: bool = True,
     phi_max: float | None = None,
+    out=None,
 ) -> NDArray[np.float64]:
     """Front-axle car field.  Kinematic state (x, y, theta, phi) with inputs
     (v, omega); dynamic state (x, y, theta, phi, v, omega) with inputs (s, r).
-    Stacked rows are accepted as for :func:`deriv_unicycle`.
+    Stacked rows and ``out`` are accepted as for :func:`deriv_unicycle`.
 
     When a steering bound is active, the steering rate is zeroed at the bound
     whenever it pushes outward (hard clamp semantics).
@@ -113,16 +129,21 @@ def deriv_car(
     if phi_max is not None:
         phidot = np.where((np.abs(phi) >= phi_max) & (phi * phidot > 0), 0.0, phidot)
     delta = theta + phi
-    rows = [
-        v * np.cos(delta),
-        v * np.sin(delta),
-        (v / wheelbase) * np.sin(phi),
-        phidot,
-    ]
+    out = _field_out(out, state, inputs, 4 if kinematic_only else 6)
+    np.multiply(v, np.cos(delta), out=out[..., 0])
+    np.multiply(v, np.sin(delta), out=out[..., 1])
+    np.multiply(v / wheelbase, np.sin(phi), out=out[..., 2])
+    out[..., 3] = phidot
     if not kinematic_only:
-        s, r = inputs[..., 0], inputs[..., 1]
-        rows += [-params.a * v + params.b * s, -params.c * omega + params.d * r]
-    return np.stack(rows, axis=-1)
+        _actuator_rates(params, v, omega, inputs, out[..., 4:])
+    return out
+
+
+def _actuator_rates(params: ActuatorParams, v, omega, inputs, out) -> None:
+    """(v', omega') = (-a v + b s, -c omega + d r) into the two columns of
+    ``out``, each formed as b s - a v, which rounds the same."""
+    np.subtract(params.b * inputs[..., 0], params.a * v, out=out[..., 0])
+    np.subtract(params.d * inputs[..., 1], params.c * omega, out=out[..., 1])
 
 
 def rear_to_front_speed(v_rear, phi):

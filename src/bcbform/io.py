@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import yaml
@@ -258,10 +259,23 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, list[str]]:
     return scenario, graph_names
 
 
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads the YAML 1.2 floats with an exponent that
+    YAML 1.1 leaves as strings: no decimal point (``1e-2``) or no exponent
+    sign (``2.5e3``)."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_scenario(path: str) -> tuple[Scenario, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            doc = yaml.load(fh, Loader=_ScenarioLoader)
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)

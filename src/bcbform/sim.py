@@ -56,6 +56,7 @@ DYNAMICS_CLASSES = ("single_integrator", "chain", "unicycle", "car")
 CONVERGENCE_THRESHOLD = 1e-3
 CONVERGENCE_SUSTAIN = 1.0  # seconds below threshold before declaring success
 MONITOR_REL_TOL = 1e-7  # Lyapunov monitor slack, relative to the first value
+CSV_BLOCK_ROWS = 64  # log rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -229,12 +230,14 @@ class _EdgeArrays:
     """Directed sensing edges of one topology, built once per run.
 
     Edges are agent-major with neighbors sorted, the order in which
-    ``controllers.consensus_term`` adds them.  ``np.add.at`` adds rows edge
-    by edge in array order, so per-agent sums over these arrays round
-    exactly like the per-agent law.
+    ``controllers.consensus_term`` adds them.  ``np.bincount`` over
+    ``scatter`` and ``np.add.at`` over ``src`` both add rows edge by edge in
+    array order, so per-agent sums over these arrays round exactly like the
+    per-agent law.
     """
 
     src: NDArray[np.intp]  # measuring agent (0-based)
+    scatter: NDArray[np.intp]  # (2E,) flat (n, 2) bin of each ravelled (E, 2) entry
     dst: NDArray[np.intp]  # measured neighbor (0-based)
     blocks: NDArray[np.float64]  # (E, 2, 2) gain blocks A_src,dst
     d_star: NDArray[np.float64] | None  # (E,) desired distances, scale law only
@@ -269,6 +272,7 @@ def _edge_arrays(
     )
     return _EdgeArrays(
         src=src,
+        scatter=(2 * src[:, None] + np.arange(2)).ravel(),
         dst=np.array(dst, dtype=np.intp),
         blocks=np.array(blocks).reshape(-1, 2, 2),
         d_star=np.array(d_star) if scale is not None else None,
@@ -299,12 +303,11 @@ def _team_command(
 
     def consensus(part, order):
         """sum_j A_ij (x_j - x_i) per agent, and the relative measurements."""
-        rel = part[edges.dst] - part[edges.src]
+        rel = part.take(edges.dst, axis=0) - part.take(edges.src, axis=0)
         if draws is not None:
             rel = rel + draws[order]
-        total = np.zeros((n, 2))
-        np.add.at(total, edges.src, np.matmul(edges.blocks, rel[:, :, None])[:, :, 0])
-        return total, rel
+        terms = np.matmul(edges.blocks, rel[:, :, None])
+        return np.bincount(edges.scatter, terms.ravel(), 2 * n).reshape(n, 2), rel
 
     u, rel = consensus(states[:, :2], 0)
     if model.dynamics == "chain":
@@ -342,13 +345,20 @@ def _team_command(
 
 
 def _project_commands(
-    scenario: Scenario, states: NDArray[np.float64], us: NDArray[np.float64]
-):
-    """Per-dynamics-class projection/saturation of the planar commands."""
+    scenario: Scenario,
+    states: NDArray[np.float64],
+    us: NDArray[np.float64],
+    out: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
+    """Per-dynamics-class projection/saturation of the planar commands, one
+    (n, 2) row per agent written into ``out`` when given."""
     cfg = scenario.controller
     model = scenario.agents
+    if out is None:
+        out = np.empty_like(us)
     if model.dynamics in ("single_integrator", "chain"):
-        return us if cfg.u_max is None else ctl.saturate_norm(us, cfg.u_max)
+        out[...] = us if cfg.u_max is None else ctl.saturate_norm(us, cfg.u_max)
+        return out
     # A unicycle projects like a front-drive car that never steers.
     car = model.dynamics == "car"
     phi = states[:, 3] if car else 0.0
@@ -365,15 +375,31 @@ def _project_commands(
         # v_max bounds the driven rear wheels; deriv_car integrates the
         # front-axle speed.
         v = rear_to_front_speed(v, phi)
-    return np.stack([v, ctl.saturate_scalar(omega, cfg.omega_max)], axis=-1)
+    out[:, 0] = v
+    out[:, 1] = ctl.saturate_scalar(omega, cfg.omega_max)
+    return out
 
 
-def _rk4_step(deriv, state: NDArray[np.float64], dt: float) -> NDArray[np.float64]:
-    k1 = deriv(state)
-    k2 = deriv(state + 0.5 * dt * k1)
-    k3 = deriv(state + 0.5 * dt * k2)
-    k4 = deriv(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(deriv, state, dt: float, out, stages) -> None:
+    """Classical RK4 step of ``state`` into ``out``.  ``deriv(x, buf)`` returns
+    the field at x, written into buf or not; ``stages`` holds five arrays
+    shaped like ``state``.  Each array operation is the one of
+    ``state + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` with stage points
+    ``state + dt/2 k1`` and so on, so the result rounds the same."""
+    b1, b2, b3, b4, x = stages
+    k1 = deriv(state, b1)
+    np.add(state, np.multiply(0.5 * dt, k1, out=x), out=x)
+    k2 = deriv(x, b2)
+    np.add(state, np.multiply(0.5 * dt, k2, out=x), out=x)
+    k3 = deriv(x, b3)
+    np.add(state, np.multiply(dt, k3, out=x), out=x)
+    k4 = deriv(x, b4)
+    # deriv may return an array it does not own (the single integrator's is
+    # the commands), so only x and b1, free once k1 is summed, take the sums.
+    np.add(k1, np.multiply(2.0, k2, out=x), out=x)
+    np.add(x, np.multiply(2.0, k3, out=b1), out=x)
+    np.add(x, k4, out=x)
+    np.add(state, np.multiply(dt / 6.0, x, out=x), out=out)
 
 
 def _advance(
@@ -382,24 +408,31 @@ def _advance(
     cmds: NDArray[np.float64],
     dt: float,
     params: ActuatorParams | None,
+    out: NDArray[np.float64] | None = None,
+    stages: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """One RK4 step of the whole team under zero-order-hold commands."""
+    """One RK4 step of the whole team under zero-order-hold commands, written
+    into ``out`` when given.  ``stages``, shaped (5, n, state_dim), holds the
+    stage fields and points; a run passes the same one to every step."""
     model = scenario.agents
     kinematic = model.kinematic_only
     phi_max = scenario.controller.phi_max
+    if out is None:
+        out = np.empty_like(states)
+    if stages is None:
+        stages = np.empty((5,) + states.shape)
     if model.dynamics == "single_integrator":
-        return _rk4_step(lambda s: deriv_single_integrator(cmds), states, dt)
-    if model.dynamics == "chain":
-        return _rk4_step(lambda s: deriv_chain(s, cmds, model.chain_order), states, dt)
-    if model.dynamics == "unicycle":
-        return _rk4_step(lambda s: deriv_unicycle(s, cmds, params, kinematic), states, dt)
-    out = _rk4_step(
-        lambda s: deriv_car(s, cmds, model.wheelbase, params, kinematic, phi_max),
-        states,
-        dt,
-    )
-    if phi_max is not None:
-        out[:, 3] = np.clip(out[:, 3], -phi_max, phi_max)
+        deriv = lambda s, buf: deriv_single_integrator(cmds)
+    elif model.dynamics == "chain":
+        deriv = lambda s, buf: deriv_chain(s, cmds, model.chain_order, buf)
+    elif model.dynamics == "unicycle":
+        deriv = lambda s, buf: deriv_unicycle(s, cmds, params, kinematic, buf)
+    else:
+        wheelbase = model.wheelbase
+        deriv = lambda s, buf: deriv_car(s, cmds, wheelbase, params, kinematic, phi_max, buf)
+    _rk4_step(deriv, states, dt, out, stages)
+    if model.dynamics == "car" and phi_max is not None:
+        np.clip(out[:, 3], -phi_max, phi_max, out=out[:, 3])
     return out
 
 
@@ -592,14 +625,20 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
                 np.matmul(T, X[k], out=X[k + 1])
             np.matmul(X[first:end], F.T, out=cmds_log.reshape(steps, -1)[first:end])
     else:
+        # Each step reads its state from the log and writes the next one
+        # there; the RK4 stages reuse one buffer for the whole run.
+        states_log[0] = states
+        stages = np.empty((5, n, dim))
         for k, topo_idx in enumerate(topo_log.tolist()):
+            states = states_log[k]
             us, next_integral = _team_command(
                 scenario, edges[topo_idx], states, integral, dt, rng
             )
-            states_log[k] = states
-            cmds_log[k] = _project_commands(scenario, states, us)
+            _project_commands(scenario, states, us, out=cmds_log[k])
             if k + 1 < steps:
-                states = _advance(scenario, states, cmds_log[k], dt, params)
+                _advance(
+                    scenario, states, cmds_log[k], dt, params, states_log[k + 1], stages
+                )
                 integral = next_integral
 
     positions = states_log[:, :, :2]
@@ -743,5 +782,8 @@ def write_csv(log: TrajectoryLog, path: str) -> None:
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        # Python floats print with repr, a block of rows at a time so the
+        # whole log never exists as Python objects.
+        for first in range(0, steps, CSV_BLOCK_ROWS):
+            rows = data[first : first + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))

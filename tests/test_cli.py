@@ -1,8 +1,10 @@
 """Command-line interface: exit-code contract and artifact outputs."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,7 +20,7 @@ from bcbform.cli import (
     main,
 )
 from bcbform.geometry import FormationSpec, SensingGraph
-from bcbform.io import save_scenario
+from bcbform.io import load_gains, load_scenario, save_scenario
 from bcbform.sim import Scenario, SimConfig
 
 
@@ -399,3 +401,84 @@ class TestDemo:
         assert main(["demo", "triangle", "--quiet"]) == EXIT_OK
         for suffix in (".yaml", ".gains.json", ".csv", ".svg"):
             assert (workdir / f"triangle{suffix}").exists()
+
+
+# The writers as first written, one value or point formatted at a time; the
+# writers must give the same bytes.
+def per_value_csv(log, path):
+    n = log.states.shape[1]
+    cols = sim_module.state_column_names(log.agents)
+    header = ["t"]
+    for i in range(1, n + 1):
+        header += [f"{c}_{i}" for c in cols]
+    header += ["subspace_error", "lyapunov_value", "min_pairwise_distance"]
+    steps = log.t.size
+    data = np.column_stack([log.t, log.states.reshape(steps, -1), log.subspace_error,
+                            log.lyapunov, log.min_distance])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in data:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def per_point_svg(path, log, scenario):
+    size = 640
+    pos = log.positions()
+    n = pos.shape[1]
+    xs, ys = pos[:, :, 0], pos[:, :, 1]
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    pad = 0.05 * span
+    x_lo, y_lo, span = x_lo - pad, y_lo - pad, span + 2 * pad
+
+    def sx(x):
+        return (x - x_lo) / span * size
+
+    def sy(y):
+        return size - (y - y_lo) / span * size
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    final = pos[-1]
+    graph = scenario.topologies[int(log.topology_index[-1])]
+    for i, j in graph.edge_list:
+        parts.append(
+            f'<line x1="{sx(final[i - 1, 0]):.2f}" y1="{sy(final[i - 1, 1]):.2f}" '
+            f'x2="{sx(final[j - 1, 0]):.2f}" y2="{sy(final[j - 1, 1]):.2f}" '
+            'stroke="#cccccc" stroke-width="1"/>'
+        )
+    stride = max(1, pos.shape[0] // 2000)
+    for i in range(n):
+        color = cli_module._PALETTE[i % len(cli_module._PALETTE)]
+        points = " ".join(f"{sx(xs[k, i]):.2f},{sy(ys[k, i]):.2f}"
+                          for k in range(0, pos.shape[0], stride))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                     'stroke-width="1.2"/>')
+        parts.append(f'<circle cx="{sx(xs[0, i]):.2f}" cy="{sy(ys[0, i]):.2f}" r="4" '
+                     f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<circle cx="{sx(xs[-1, i]):.2f}" cy="{sy(ys[-1, i]):.2f}" r="3" '
+                     f'fill="{color}"/>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+class TestWriters:
+    # Both logs span many CSV blocks and end in a partial one.
+    @pytest.mark.parametrize("name, t_final", [("car9", "2"), ("triangle", None)])
+    def test_bytes_equal_per_value_writers(self, workdir, name, t_final):
+        argv = ["demo", name, "--quiet"] + (["--t-final", t_final] if t_final else [])
+        assert main(argv) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        scenario, _ = load_scenario(f"{name}.yaml")
+        if t_final:
+            scenario = dataclasses.replace(
+                scenario, sim=dataclasses.replace(scenario.sim, t_final=float(t_final)))
+        log = sim_module.run(scenario, load_gains(f"{name}.gains.json")[0])
+        per_value_csv(log, "ref.csv")
+        per_point_svg("ref.svg", log, scenario)
+        assert (workdir / f"{name}.csv").read_bytes() == (workdir / "ref.csv").read_bytes()
+        assert (workdir / f"{name}.svg").read_bytes() == (workdir / "ref.svg").read_bytes()

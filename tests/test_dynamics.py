@@ -106,3 +106,121 @@ class TestRearDrive:
     def test_perpendicular_steering_pins_speed_to_zero(self):
         assert rear_to_front_speed(5.0, math.pi / 2) == 0.0
         assert rear_to_front_speed(-5.0, -math.pi / 2) == 0.0
+
+
+# Reference fields that stack their rows, as the fields were first written;
+# the fields must round exactly like them, with or without ``out``.
+def stacked_heading(theta):
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def stacked_unicycle(state, inputs, params, kinematic_only):
+    theta = state[..., 2]
+    if kinematic_only:
+        v, omega = inputs[..., 0], inputs[..., 1]
+        return np.stack([v * np.cos(theta), v * np.sin(theta), omega], axis=-1)
+    v, omega = state[..., 3], state[..., 4]
+    s, r = inputs[..., 0], inputs[..., 1]
+    return np.stack([v * np.cos(theta), v * np.sin(theta), omega,
+                     -params.a * v + params.b * s, -params.c * omega + params.d * r],
+                    axis=-1)
+
+
+def stacked_car(state, inputs, wheelbase, params, kinematic_only, phi_max):
+    theta, phi = state[..., 2], state[..., 3]
+    if kinematic_only:
+        v, omega = inputs[..., 0], inputs[..., 1]
+    else:
+        v, omega = state[..., 4], state[..., 5]
+    phidot = omega
+    if phi_max is not None:
+        phidot = np.where((np.abs(phi) >= phi_max) & (phi * phidot > 0), 0.0, phidot)
+    delta = theta + phi
+    rows = [v * np.cos(delta), v * np.sin(delta), (v / wheelbase) * np.sin(phi), phidot]
+    if not kinematic_only:
+        s, r = inputs[..., 0], inputs[..., 1]
+        rows += [-params.a * v + params.b * s, -params.c * omega + params.d * r]
+    return np.stack(rows, axis=-1)
+
+
+def random_team(rng, n, dim):
+    """Stacked states with headings over several turns and signed speeds."""
+    state = rng.uniform(-5.0, 5.0, size=(n, dim))
+    state[:, 2] = rng.uniform(-20.0, 20.0, size=n)
+    return state, rng.normal(scale=3.0, size=(n, 2))
+
+
+SCALAR_PARAMS = ActuatorParams(a=1.5, b=2.0, c=0.75, d=3.0)
+PARAMS_KINDS = ("scalar", "per_agent")
+
+
+def actuator_params(rng, kind, n):
+    """One actuator for the team, or per-agent fields as ``sim.run`` builds them."""
+    if kind == "scalar":
+        return SCALAR_PARAMS
+    return ActuatorParams(*rng.uniform(0.5, 10.0, size=(4, n)))
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestStackFreeFields:
+    N = 9
+
+    def test_heading_vector(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            theta = rng.uniform(-30.0, 30.0, size=self.N)
+            want = stacked_heading(theta)
+            assert_bitwise(heading_vector(theta), want)
+            buf = np.full((self.N, 2), np.nan)
+            assert heading_vector(theta, out=buf) is buf
+            assert_bitwise(buf, want)
+        assert_bitwise(heading_vector(1.25), stacked_heading(1.25))
+
+    @pytest.mark.parametrize("kinematic", [True, False], ids=["kinematic", "dynamic"])
+    @pytest.mark.parametrize("params_kind", PARAMS_KINDS)
+    def test_unicycle(self, kinematic, params_kind):
+        rng = np.random.default_rng(11)
+        dim = 3 if kinematic else 5
+        for _ in range(50):
+            state, inputs = random_team(rng, self.N, dim)
+            params = actuator_params(rng, params_kind, self.N)
+            want = stacked_unicycle(state, inputs, params, kinematic)
+            assert_bitwise(deriv_unicycle(state, inputs, params, kinematic), want)
+            buf = np.full((self.N, dim), np.nan)
+            assert deriv_unicycle(state, inputs, params, kinematic, out=buf) is buf
+            assert_bitwise(buf, want)
+
+    @pytest.mark.parametrize("phi_max", [None, 0.6], ids=["free", "bounded"])
+    @pytest.mark.parametrize("kinematic", [True, False], ids=["kinematic", "dynamic"])
+    @pytest.mark.parametrize("params_kind", PARAMS_KINDS)
+    def test_car(self, phi_max, kinematic, params_kind):
+        rng = np.random.default_rng(13)
+        dim = 4 if kinematic else 6
+        for _ in range(50):
+            state, inputs = random_team(rng, self.N, dim)
+            state[:, 3] = rng.uniform(-1.0, 1.0, size=self.N)
+            if phi_max is not None:
+                # Some agents sit at the clamp, half of them turning outward.
+                at = rng.random(self.N) < 0.5
+                state[at, 3] = np.copysign(phi_max, state[at, 3])
+            params = actuator_params(rng, params_kind, self.N)
+            want = stacked_car(state, inputs, 1.3, params, kinematic, phi_max)
+            got = deriv_car(state, inputs, 1.3, params, kinematic, phi_max)
+            assert_bitwise(got, want)
+            buf = np.full((self.N, dim), np.nan)
+            assert deriv_car(state, inputs, 1.3, params, kinematic, phi_max, out=buf) is buf
+            assert_bitwise(buf, want)
+        if phi_max is not None:
+            assert np.any(want[:, 3] == 0.0)
+
+    def test_single_rows_keep_their_shape(self):
+        p = SCALAR_PARAMS
+        state = np.array([0.5, -1.0, 0.3, 0.2, 1.1, -0.4])
+        assert_bitwise(deriv_car(state, (0.25, -0.5), 2.0, p, False, 0.3),
+                       stacked_car(state, np.array([0.25, -0.5]), 2.0, p, False, 0.3))
+        assert_bitwise(deriv_unicycle(state[:5], [0.25, -0.5], p, False),
+                       stacked_unicycle(state[:5], np.array([0.25, -0.5]), p, False))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,43 @@ class TestScenarioSchema:
         path.write_text("version: [1\n")
         with pytest.raises(ConfigurationError):
             load_scenario(str(path))
+
+
+def edited_sim_section(tmp_path, **values):
+    """The rich scenario saved to YAML with the given ``sim`` values spelled
+    as written here."""
+    path = tmp_path / "edited.yaml"
+    save_scenario(str(path), rich_scenario())
+    text = path.read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^(  {key}:) .*$", rf"\g<1> {value}", text)
+        assert count == 1
+    path.write_text(text)
+    return str(path)
+
+
+class TestExponentFloats:
+    """YAML 1.2 reads 1e-2 as a float; PyYAML's YAML 1.1 resolver does not."""
+
+    def test_exponents_without_point_load_as_floats(self, tmp_path):
+        path = edited_sim_section(tmp_path, dt="1e-2", convergence_threshold="1E-3")
+        scenario, _ = load_scenario(path)
+        assert scenario.sim.dt == 0.01
+        assert scenario.sim.convergence_threshold == 0.001
+
+    def test_every_exponent_spelling_loads(self, tmp_path):
+        path = edited_sim_section(tmp_path, t_final="2e+3", measurement_noise="2.5e-2",
+                                  dt="+.5e-2")
+        sim = load_scenario(path)[0].sim
+        assert (sim.t_final, sim.measurement_noise, sim.dt) == (2000.0, 0.025, 0.005)
+
+    def test_quoted_exponent_is_still_a_string(self, tmp_path):
+        path = edited_sim_section(tmp_path, dt='"1e-2"')
+        with pytest.raises(ConfigurationError, match="sim.dt must be of type float"):
+            load_scenario(path)
+
+    def test_global_loaders_unchanged(self):
+        assert yaml.safe_load("dt: 1e-2") == {"dt": "1e-2"}
 
 
 NON_FINITE_FIELDS = {

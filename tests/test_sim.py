@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bcbform import sim as sim_module
+from bcbform.cli import DEMO_NAMES, demo_scenario
 from bcbform.collision import (
     AvoidanceConfig,
     activation_candidates,
@@ -658,3 +659,71 @@ class TestDiscreteStabilityGuard:
         assert lam.size == 8
         bound = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
         self.check_bound(hex_gains, bound, controller=TEAM_LAWS["perturbation"][1])
+
+
+def add_at_consensus(edges, part, n, draws):
+    """sum_j A_ij (x_j - x_i) per agent by np.add.at over the edge sources,
+    as the team step first summed it."""
+    rel = part[edges.dst] - part[edges.src]
+    if draws is not None:
+        rel = rel + draws
+    total = np.zeros((n, 2))
+    np.add.at(total, edges.src, np.matmul(edges.blocks, rel[:, :, None])[:, :, 0])
+    return total
+
+
+def add_at_command(scenario, edges, states, rng):
+    """The consensus and chain command of _team_command, summed by np.add.at."""
+    n, cfg = scenario.formation.n, scenario.controller
+    noise = scenario.sim.measurement_noise
+    orders, n_edges = edges.draw_rows.shape
+    draws = [None] * orders
+    if noise > 0.0:
+        draws = rng.uniform(-noise, noise, size=(orders * n_edges, 2))[edges.draw_rows]
+    u = add_at_consensus(edges, states[:, :2], n, draws[0])
+    if scenario.agents.dynamics == "chain":
+        k = cfg.k_chain
+        u = k[0] * u
+        for order in range(1, len(k)):
+            part = states[:, 2 * order : 2 * order + 2]
+            u = u + k[order] * add_at_consensus(edges, part, n, draws[order])
+    return u
+
+
+class TestEdgeSum:
+    """The per-agent edge sum is one np.bincount; it must round exactly like
+    np.add.at, which adds each agent's edges in the same order."""
+
+    LAWS = {
+        "consensus": TEAM_LAWS["consensus"],
+        "chain_full_A": TEAM_LAWS["chain_full_A"],
+    }
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_bitwise_equal_to_add_at(self, name, law, noise):
+        demo, _, _ = demo_scenario(name)
+        model, controller = self.LAWS[law]
+        scenario = dataclasses.replace(
+            demo, agents=model, controller=controller, avoidance=None,
+            sim=SimConfig(measurement_noise=noise),
+        )
+        n, dim = scenario.formation.n, model.state_dim()
+        orders = model.chain_order + 1 if law == "chain_full_A" else 1
+        rng = np.random.default_rng([len(name), orders])
+        degrees = set()
+        for graph in scenario.topologies:
+            params = {e: tuple(rng.normal(size=2)) for e in graph.edge_list}
+            gm = GainMatrix.from_edge_params(graph, params)
+            edges = sim_module._edge_arrays(graph, gm, None, orders)
+            degrees.update(np.bincount(edges.src).tolist())
+            for seed in range(200):
+                states = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, dim))
+                got, _ = sim_module._team_command(
+                    scenario, edges, states, None, 0.01, np.random.default_rng(seed)
+                )
+                want = add_at_command(scenario, edges, states, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes()
+        if name == "switching9":
+            assert len(degrees) > 1
