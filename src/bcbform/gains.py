@@ -7,6 +7,12 @@ equality-constrained least-squares step in the edge parameters, solved
 through one factored KKT matrix, and a PSD projection.  Its dual iterate
 gives an upper bound on the optimum, so every design reports its duality
 gap.
+
+Each 2 x 2 block a I + b K multiplies like the complex number a - ib, so A
+is the realification of an n x n Hermitian matrix H, and -Q^T A Q that of
+the (n-2) x (n-2) Hermitian -Q_c^H H Q_c.  ADMM runs on the Hermitian
+matrices, with the inner products of their realifications: the same
+iterates at half the matrix side.
 """
 
 from __future__ import annotations
@@ -218,97 +224,94 @@ class _VariablePool:
 
 
 class _EdgeOperator:
-    """x -> Q^T A^k(x) Q for every topology k of a pool, from the edge list.
+    """x -> Q_c^H H^k(x) Q_c for every topology k of a pool, from the edge list.
 
-    With the 2 x r slices Q_i of Q and, per edge (i, j), D = Q_j - Q_i,
-    S = Q_i + Q_j and KD = K D, the a-variable of the edge contributes
-    -a D^T D and its b-variable b S^T KD.  Every variable u is thus
-    sign_u L_u^T R_u with 2 x r factors L_u, R_u, so the forward map, its
-    adjoint and the Gram matrix only ever touch 2-row slices: nothing of
-    size r^2 x dim is formed.  Topologies are stacked on a leading axis,
-    padded with zero rows to a common edge count.
+    A block a I + b K acts on (x, y) as a - ib acts on x + iy, so A^k(x) is
+    the realification of the n x n complex matrix H^k(x) with entry a - ib
+    wherever A^k(x) has block a I + b K.  Q^T A^k(x) Q is then, up to an
+    orthogonal change of basis, the realification of Q_c^H H^k(x) Q_c: the
+    same spectrum, each eigenvalue doubled, at half the side.  With the
+    1 x r rows Q_c[i] and, per edge (i, j), D = Q_c[j] - Q_c[i] and
+    S = Q_c[i] + Q_c[j], the a-variable of the edge contributes -a D^H D and
+    its b-variable -ib S^H D.  Every variable u is thus c_u L_u^H R_u with
+    1 x r factors, so the forward map, its adjoint and the Gram matrix only
+    ever touch single rows: nothing of size r^2 x dim is formed.  Inner
+    products are <W, M> = 2 Re tr(W^H M), the real Frobenius product of the
+    realified matrices, so the adjoint and the Gram matrix are those of the
+    real map.  Topologies are stacked on a leading axis, padded with zero
+    rows to a common edge count.
     """
 
-    def __init__(self, pool: _VariablePool, Q: NDArray[np.float64]):
-        n, r = pool.n, Q.shape[1]
+    def __init__(self, pool: _VariablePool, Qc: NDArray[np.complex128]):
+        r = Qc.shape[1]
         m = len(pool.graphs)
         count = max(len(g.edge_list) for g in pool.graphs)
-        rows = Q.reshape(n, 2, r)
-        # Variable u = (a or b, edge) owns factor rows 2u and 2u + 1.
-        left = np.zeros((m, 2, count, 2, r))
-        right = np.zeros((m, 2, count, 2, r))
+        # Variable u = (a or b, edge) owns factor row u.
+        left = np.zeros((m, 2, count, r), dtype=complex)
+        right = np.zeros((m, 2, count, r), dtype=complex)
         index = np.zeros((m, 2, count), dtype=np.intp)
-        sign = np.zeros((m, 2, count))
-        self.parts = []  # unpadded (L, R, index, sign) per topology
+        coef = np.zeros((m, 2, count), dtype=complex)
+        self.parts = []  # unpadded (L, R, index, coef) per topology
         for k, g in enumerate(pool.graphs):
             edges = g.edge_list
             ne = len(edges)
             i, j = np.array(edges).T - 1
-            D = rows[j] - rows[i]
-            left[k, 0, :ne] = right[k, 0, :ne] = D
-            left[k, 1, :ne] = rows[i] + rows[j]
-            right[k, 1, :ne] = _K2 @ D
+            D = Qc[j] - Qc[i]
+            left[k, 0, :ne] = right[k, 0, :ne] = right[k, 1, :ne] = D
+            left[k, 1, :ne] = Qc[i] + Qc[j]
             index[k, 0, :ne] = [pool.a_index((k, e)) for e in edges]
             index[k, 1, :ne] = [pool.b_index((k, e)) for e in edges]
-            sign[k, 0, :ne] = -1.0
-            sign[k, 1, :ne] = 1.0
+            coef[k, 0, :ne] = -1.0
+            coef[k, 1, :ne] = -1j
             self.parts.append((
-                left[k, :, :ne].reshape(4 * ne, r),
-                right[k, :, :ne].reshape(4 * ne, r),
+                left[k, :, :ne].reshape(2 * ne, r),
+                right[k, :, :ne].reshape(2 * ne, r),
                 index[k, :, :ne].reshape(-1),
-                sign[k, :, :ne].reshape(-1),
+                coef[k, :, :ne].reshape(-1),
             ))
         self.m, self.r, self.dim = m, r, pool.dim
-        self.left = left.reshape(m, 4 * count, r)
-        self.left_t = np.ascontiguousarray(self.left.transpose(0, 2, 1))
-        self.right = right.reshape(m, 4 * count, r)
+        self.left = left.reshape(m, 2 * count, r)
+        self.left_h = np.ascontiguousarray(self.left.conj().transpose(0, 2, 1))
+        self.right = right.reshape(m, 2 * count, r)
+        self.right_conj = self.right.conj()
         self.index = index.reshape(m, 2 * count)
-        self.sign = sign.reshape(m, 2 * count)
-        self.row_index = np.repeat(self.index, 2, axis=1)[:, None, :]
-        self.row_sign = np.repeat(self.sign, 2, axis=1)[:, None, :]
+        self.coef = coef.reshape(m, 2 * count)
+        self.adjoint_coef = 2.0 * self.coef.conj()
 
-    def forward(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Stack (m, r, r) of Q^T A^k(x) Q."""
-        return (self.left_t * (self.row_sign * x[self.row_index])) @ self.right
+    def forward(self, x: NDArray[np.float64]) -> NDArray[np.complex128]:
+        """Stack (m, r, r) of Q_c^H H^k(x) Q_c."""
+        return (self.left_h * (self.coef * x[self.index])[:, None, :]) @ self.right
 
-    def adjoint(self, W: NDArray[np.float64]) -> NDArray[np.float64]:
-        """x-space vector sum_k B_k^T vec(W_k) for a stack W of shape (m, r, r)."""
-        vals = np.einsum("kur,kur->ku", self.left @ W, self.right)
-        vals = vals.reshape(self.m, -1, 2).sum(axis=-1) * self.sign
+    def adjoint(self, W: NDArray[np.complexfloating]) -> NDArray[np.float64]:
+        """x-space vector sum_k B_k^T W_k for a stack W of shape (m, r, r):
+        entry u is 2 Re tr(B_u^H W) = 2 Re(conj(c_u) L_u W R_u^H)."""
+        vals = np.einsum("kus,kus->ku", self.left @ W, self.right_conj)
+        vals = (self.adjoint_coef * vals).real
         return np.bincount(self.index.ravel(), weights=vals.ravel(), minlength=self.dim)
 
     def gram(self, out=None, chunk_rows: int = 128) -> NDArray[np.float64]:
-        """B^T B: <L_u^T R_u, L_v^T R_v> is the sum of (L_u L_v^T) * (R_u R_v^T).
+        """B^T B: <B_u, B_v> = 2 Re(conj(c_u) c_v (L_u L_v^H) conj(R_u R_v^H)).
 
         Added into ``out`` (a zeroed dim x dim array or view) when given.
         Factor rows are taken ``chunk_rows`` at a time against the rows from
-        the chunk's first onward, so each pair of variables is formed once;
-        a pair beyond the chunk fills both of its entries, summing its 2 x 2
-        block in the two orders a row-by-row fill would.  No temporary grows
-        beyond chunk_rows x (4 |E|)."""
+        the chunk's first onward, so each pair of variables is formed once
+        and a pair beyond the chunk fills both of its entries.  No temporary
+        grows beyond chunk_rows x (2 |E|)."""
         G = np.zeros((self.dim, self.dim)) if out is None else out
-        for L, R, idx, sgn in self.parts:
+        for L, R, idx, coef in self.parts:
             nvar = idx.size
-            for lo in range(0, 2 * nvar, chunk_rows):
-                hi = min(lo + chunk_rows, 2 * nvar)
-                rows, cols = slice(lo // 2, hi // 2), slice(lo // 2, nvar)
-                beyond = slice(hi // 2, nvar)
-                blk = (L[lo:hi] @ L[lo:].T) * (R[lo:hi] @ R[lo:].T)
-                pairs = blk[:, 0::2] + blk[:, 1::2]
-                upper = pairs[0::2]
-                upper += pairs[1::2]
-                upper *= sgn[rows, None]
-                upper *= sgn[cols]
-                G[np.ix_(idx[rows], idx[cols])] += upper
-                # Summed in place: blk is not read again.
-                rows_summed = blk[0::2, hi - lo :]
-                rows_summed += blk[1::2, hi - lo :]
-                lower = rows_summed[:, 0::2]
-                lower += rows_summed[:, 1::2]
-                lower *= sgn[rows, None]
-                lower *= sgn[beyond]
-                G[np.ix_(idx[beyond], idx[rows])] += lower.T
-                del blk, pairs, upper, rows_summed, lower  # before the next products
+            L_h, R_t, R_conj, coef_conj = L.conj().T, R.T, R.conj(), coef.conj()
+            for lo in range(0, nvar, chunk_rows):
+                hi = min(lo + chunk_rows, nvar)
+                blk = L[lo:hi] @ L_h[:, lo:]
+                blk *= R_conj[lo:hi] @ R_t[:, lo:]
+                blk *= coef_conj[lo:hi, None]
+                blk *= coef[lo:]
+                vals = blk.real
+                vals *= 2.0
+                G[np.ix_(idx[lo:hi], idx[lo:])] += vals
+                G[np.ix_(idx[hi:], idx[lo:hi])] += vals[:, hi - lo :].T
+                del blk, vals  # before the next products
         return G
 
 
@@ -384,21 +387,25 @@ class SolveInfo:
     bound_residual: float
 
 
-def _psd_project(M: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Project each matrix of a stack onto the PSD cone."""
-    w, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+def _psd_project(M: NDArray[np.complexfloating]) -> NDArray[np.complex128]:
+    """Project each Hermitian matrix of a stack onto the PSD cone."""
+    w, V = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(-1, -2)))
     w = np.maximum(w, 0.0)
-    return (V * w[..., None, :]) @ V.swapaxes(-1, -2)
+    return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, G x = h.
 
     G has independent rows and ``range_basis`` is an orthonormal basis of
-    range(G^T).  Each (x, gamma)-update minimizes
+    range(G^T).  The iterates are the (m, r, r) Hermitian stacks of
+    ``op``; every norm, trace and inner product is that of their 2r x 2r
+    realifications, so the iteration is the one on Q^T A^k(x) Q.  Each
+    (x, gamma)-update minimizes
     -gamma + rho/2 ||B x + gamma e + Z + Y/rho||^2 subject to G x = h, whose
     KKT matrix does not change between iterations and is factored once."""
     dim, m_top, r = op.dim, op.m, op.r
+    side = 2 * r  # of the realified matrices
     rho = ADMM_RHO
     eye = np.eye(r)
     size = dim + 1 + G.shape[0]
@@ -407,7 +414,7 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     K = np.zeros((size, size), order="F")
     op.gram(out=K[:dim, :dim])
     K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(eye, (m_top, r, r)))
-    K[dim, dim] = m_top * r
+    K[dim, dim] = m_top * side
     K[:dim, dim + 1 :] = G.T
     K[dim + 1 :, :dim] = G
     # Tiny ridge guards rank deficiency in degenerate variable pools.
@@ -415,9 +422,9 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     K[ridge, ridge] += 1e-12 * max(1.0, np.trace(K) / (dim + 1))
     lu, piv = scipy.linalg.lu_factor(K, overwrite_a=True)
 
-    Z = np.zeros((m_top, r, r))
-    Y = np.zeros((m_top, r, r))
-    scale = np.sqrt(m_top) * r
+    Z = np.zeros((m_top, r, r), dtype=complex)
+    Y = np.zeros((m_top, r, r), dtype=complex)
+    scale = np.sqrt(m_top) * side
     rhs = np.empty(size)
     rhs[dim + 1 :] = h
     primal = dual = np.inf
@@ -426,17 +433,18 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
         # (x, gamma)-update: equality-constrained least squares.
         c = Z + Y / rho
         rhs[:dim] = -op.adjoint(c)
-        rhs[dim] = 1.0 / rho - np.trace(c, axis1=1, axis2=2).sum()
+        rhs[dim] = 1.0 / rho - 2.0 * np.trace(c, axis1=1, axis2=2).real.sum()
         # LAPACK directly: lu_solve's checks cost more than a small solve.
         sol, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
         x, gamma = sol[:dim], sol[dim]
         shifted = op.forward(x) + gamma * eye
         # Z-update: spectral projection onto the PSD cone.
         Z_new = _psd_project(-shifted - Y / rho)
-        dual_acc = np.sum((Z_new - Z) ** 2)
+        step = Z_new - Z
+        dual_acc = 2.0 * np.vdot(step, step).real
         Z = Z_new
         R = Z + shifted
-        primal_acc = np.sum(R**2)
+        primal_acc = 2.0 * np.vdot(R, R).real
         Y = Y + rho * R
         primal = np.sqrt(primal_acc) / scale
         dual = rho * np.sqrt(dual_acc) / scale
@@ -445,7 +453,7 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     # For W >= 0 with unit total trace and B^T W = G^T lam, every feasible
     # (x, gamma) has gamma <= -<B^T W, x> = -lam^T h.
     W = _psd_project(Y)
-    W /= np.trace(W, axis1=1, axis2=2).sum()
+    W /= 2.0 * np.trace(W, axis1=1, axis2=2).real.sum()
     Bt_W = op.adjoint(W)
     return x, SolveInfo(
         iterations=it,
@@ -485,7 +493,7 @@ def design_joint_gains(
     pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
     G, h, range_basis = _independent_constraints(G, h)
-    op = _EdgeOperator(pool, basis.Q)
+    op = _EdgeOperator(pool, basis.Qc)
     x, info = _admm_solve(op, G, h, range_basis)
 
     # Exact achieved objective, independent of the solver's running estimate.

@@ -156,12 +156,16 @@ class KernelBasis:
 
     ``N`` stacks [q*, rot90(q*), ones, rot90(ones)].  ``N_hat`` is an
     orthonormal basis of range(N); ``Q`` spans the orthogonal complement
-    and carries the nonzero spectrum of any valid gain matrix.
+    and carries the nonzero spectrum of any valid gain matrix.  ``Qc`` is
+    the same complement in complex coordinates z_i = x_i + i y_i, where
+    rot90 is multiplication by i: an orthonormal n x (n-2) basis of the
+    complement of span{z*, 1} in C^n, whose realification spans range(Q).
     """
 
     N: NDArray[np.float64]
     N_hat: NDArray[np.float64]
     Q: NDArray[np.float64]
+    Qc: NDArray[np.complex128]
 
     @property
     def n(self) -> int:
@@ -171,8 +175,9 @@ class KernelBasis:
 def build_kernel_basis(spec: FormationSpec) -> KernelBasis:
     """Construct the 4-column kernel matrix and complete it to an orthonormal frame.
 
-    Uses a full SVD of N; raises if the desired formation is degenerate
-    (rank below 4, e.g. all agents coincide).
+    Uses a full SVD of N, and one of its complex form [z*, 1] for ``Qc``;
+    raises if the desired formation is degenerate (rank below 4, e.g. all
+    agents coincide).
     """
     n = spec.n
     if n < 3:
@@ -185,7 +190,9 @@ def build_kernel_basis(spec: FormationSpec) -> KernelBasis:
         raise DegenerateFormationError(
             f"kernel matrix has rank {rank} < 4; desired formation is degenerate"
         )
-    return KernelBasis(N=N, N_hat=U[:, :4], Q=U[:, 4:])
+    z_star = spec.q_star[0::2] + 1j * spec.q_star[1::2]
+    Uc, _, _ = np.linalg.svd(np.column_stack([z_star, np.ones(n)]), full_matrices=True)
+    return KernelBasis(N=N, N_hat=U[:, :4], Q=U[:, 4:], Qc=Uc[:, 2:])
 
 
 def row_dot(a, b) -> NDArray[np.float64]:

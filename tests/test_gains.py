@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcbform.gains as gains_mod
 from bcbform.cli import demo_scenario
@@ -166,34 +168,49 @@ def trilateration_graph(n):
     return SensingGraph(n, edges)
 
 
-def dense_operator(pool, k, Q):
-    """Reference r^2 x dim matrix of x -> vec(Q^T A^k(x) Q), one column per
-    unit vector, each assembled by GainMatrix.from_edge_params."""
+def hermitian_of(A):
+    """n x n complex H with entry a - ib wherever A has block a I + b K."""
+    return A[0::2, 0::2] - 1j * A[0::2, 1::2]
+
+
+def realify(M):
+    """2p x 2q real matrix of z -> M z in interleaved (Re, Im) coordinates."""
+    R = np.empty((2 * M.shape[0], 2 * M.shape[1]))
+    R[0::2, 0::2] = R[1::2, 1::2] = M.real
+    R[0::2, 1::2] = -M.imag
+    R[1::2, 0::2] = M.imag
+    return R
+
+
+def dense_operator(pool, k, Qc):
+    """Reference r^2 x dim complex matrix of x -> vec(Q_c^H H^k(x) Q_c), one
+    column per unit vector, each assembled by GainMatrix.from_edge_params."""
     cols = []
     for u in range(pool.dim):
         x = np.zeros(pool.dim)
         x[u] = 1.0
         gm = GainMatrix.from_edge_params(pool.graphs[k], pool.edge_params(k, x))
-        cols.append((Q.T @ gm.assembled @ Q).reshape(-1))
+        cols.append((Qc.conj().T @ hermitian_of(gm.assembled) @ Qc).reshape(-1))
     return np.array(cols).T
 
 
 class TestEdgeOperator:
     def check_against_dense(self, graphs, spec):
-        Q = build_kernel_basis(spec).Q
-        r = Q.shape[1]
+        Qc = build_kernel_basis(spec).Qc
+        r = Qc.shape[1]
         pool = gains_mod._VariablePool(graphs)
-        op = gains_mod._EdgeOperator(pool, Q)
-        Bs = [dense_operator(pool, k, Q) for k in range(len(graphs))]
+        op = gains_mod._EdgeOperator(pool, Qc)
+        Bs = [dense_operator(pool, k, Qc) for k in range(len(graphs))]
         rng = np.random.default_rng(7)
         x = rng.normal(size=pool.dim)
-        W = rng.normal(size=(len(graphs), r, r))
+        W = rng.normal(size=(len(graphs), r, r)) + 1j * rng.normal(size=(len(graphs), r, r))
         forward = op.forward(x)
         for k, Bk in enumerate(Bs):
             assert np.max(np.abs(forward[k].reshape(-1) - Bk @ x)) <= 1e-12
-        adjoint = sum(Bk.T @ W[k].reshape(-1) for k, Bk in enumerate(Bs))
+        # Under <W, M> = 2 Re tr(W^H M), B_k^T W_k is 2 Re(B_k^H vec W_k).
+        adjoint = sum(2.0 * (Bk.conj().T @ W[k].reshape(-1)).real for k, Bk in enumerate(Bs))
         assert np.max(np.abs(op.adjoint(W) - adjoint)) <= 1e-12
-        gram = sum(Bk.T @ Bk for Bk in Bs)
+        gram = sum(2.0 * (Bk.conj().T @ Bk).real for Bk in Bs)
         assert np.max(np.abs(op.gram() - gram)) <= 1e-12 * np.max(np.abs(gram))
         assert np.max(np.abs(op.gram(chunk_rows=6) - gram)) <= 1e-12 * np.max(np.abs(gram))
 
@@ -211,6 +228,29 @@ class TestEdgeOperator:
         assert pool.n_classes < sum(len(g.edges) for g in scenario.topologies)
         self.check_against_dense(list(scenario.topologies), scenario.formation)
 
+    def test_realified_complex_basis_spans_kernel_complement(self):
+        rng = np.random.default_rng(11)
+        basis = build_kernel_basis(FormationSpec.from_coordinates(rng.uniform(-1, 1, (9, 2))))
+        Qr = realify(basis.Qc)
+        assert Qr.shape == (18, 14)
+        assert np.max(np.abs(Qr.T @ Qr - np.eye(14))) <= 1e-12
+        assert np.max(np.abs(Qr.T @ basis.N)) <= 1e-12
+        # Same subspace as the real basis: Q^T Qr is orthogonal.
+        O = basis.Q.T @ Qr
+        assert np.max(np.abs(O.T @ O - np.eye(14))) <= 1e-12
+
+    def test_real_reduction_is_realified_hermitian_reduction(self):
+        rng = np.random.default_rng(12)
+        graph = trilateration_graph(9)
+        basis = build_kernel_basis(FormationSpec.from_coordinates(rng.uniform(-1, 1, (9, 2))))
+        params = {e: tuple(rng.normal(size=2)) for e in graph.edge_list}
+        A = GainMatrix.from_edge_params(graph, params).assembled
+        Qr = realify(basis.Qc)
+        H = hermitian_of(A)
+        assert np.max(np.abs(realify(H) - A)) == 0.0
+        expected = realify(basis.Qc.conj().T @ H @ basis.Qc)
+        assert np.max(np.abs(Qr.T @ A @ Qr - expected)) <= 1e-12 * np.max(np.abs(A))
+
     def test_complete30_peak_memory(self):
         # A dense r^2 x dim operator, with F = B Zn and F^T F built from it,
         # peaks near 75 MiB here; the edge-list operator stays near 27 MiB.
@@ -226,12 +266,34 @@ class TestEdgeOperator:
         assert peak < 40 * 2**20
 
 
-def similar(points, graph, rng):
-    """Rotate, translate, scale and relabel a formation with its graph."""
-    a = rng.uniform(0.0, 2.0 * math.pi)
-    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    moved = (points @ rot.T + rng.uniform(-5.0, 5.0, size=2)) * rng.uniform(0.5, 2.0)
-    perm = rng.permutation(graph.n)  # agent k + 1 gets label perm[k] + 1
+@pytest.mark.parametrize("case", ["circulant", "trilateration", "complete", "switching9"])
+def test_gamma_matches_real_spectrum(case):
+    """The gamma solved over Hermitian matrices is the smallest spectral gap
+    of the assembled real 2n x 2n gain matrices, whose nonzero eigenvalues
+    come in equal pairs (one per complex eigenvalue)."""
+    if case == "switching9":
+        scenario, _, _ = demo_scenario("switching9")
+        graphs, spec = list(scenario.topologies), scenario.formation
+    else:
+        graph = {"circulant": circulant_graph(10), "trilateration": trilateration_graph(9),
+                 "complete": complete_graph(7)}[case]
+        rng = np.random.default_rng(graph.n)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(graph.n, 2)))
+        graphs = [graph]
+    mats, info = design_joint_gains(graphs, spec)
+    basis = build_kernel_basis(spec)
+    reports = [verify_gains(gm, basis) for gm in mats]
+    assert min(rep.spectral_gap for rep in reports) == pytest.approx(info.gamma, rel=1e-9)
+    for rep in reports:
+        nonzero = np.array(rep.eigenvalues[4:])
+        assert np.max(np.abs(nonzero[0::2] - nonzero[1::2])) <= 1e-9 * np.max(np.abs(nonzero))
+
+
+def similar(points, graph, angle, shift, scale, perm):
+    """Rotate, translate, scale and relabel a formation with its graph; agent
+    k + 1 gets label perm[k] + 1."""
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    moved = (points @ rot.T + shift) * scale
     relabelled = np.empty_like(moved)
     relabelled[perm] = moved
     edges = [tuple(sorted((int(perm[i - 1]) + 1, int(perm[j - 1]) + 1)))
@@ -246,10 +308,47 @@ def test_design_invariant_under_similarity_and_relabelling(n):
     graph = trilateration_graph(n)
     _, base = design_gains(graph, FormationSpec.from_coordinates(points))
     for _ in range(3):
-        moved, relabelled = similar(points, graph, rng)
+        moved, relabelled = similar(points, graph, rng.uniform(0.0, 2.0 * math.pi),
+                                    rng.uniform(-5.0, 5.0, size=2), rng.uniform(0.5, 2.0),
+                                    rng.permutation(n))
         _, info = design_gains(relabelled, FormationSpec.from_coordinates(moved))
         assert info.iterations == base.iterations
         assert info.gamma == pytest.approx(base.gamma, rel=1e-10)
+
+
+def spread_points(n, rng):
+    """``n`` points in [-1, 1]^2, no two closer than 1.2 / sqrt(n)."""
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(-1.0, 1.0, size=2)
+        if all(np.hypot(*(p - q)) >= 1.2 / math.sqrt(n) for q in pts):
+            pts.append(p)
+    return np.array(pts)
+
+
+def nearest_trilateration_graph(points):
+    """Triangle 1-2-3, then each agent sensing the three nearest earlier ones."""
+    edges = [(1, 2), (1, 3), (2, 3)]
+    for v in range(3, len(points)):
+        near = np.argsort(np.hypot(*(points[:v] - points[v]).T))[:3]
+        edges += [(int(u) + 1, v + 1) for u in sorted(near)]
+    return SensingGraph(len(points), edges)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(n=st.integers(6, 10), seed=st.integers(0, 2**32 - 1),
+       angle=st.floats(0.0, 2.0 * math.pi), shift=st.tuples(st.floats(-5.0, 5.0),
+                                                           st.floats(-5.0, 5.0)),
+       scale=st.floats(0.5, 2.0), data=st.data())
+def test_design_invariant_under_drawn_similarity(n, seed, angle, shift, scale, data):
+    points = spread_points(n, np.random.default_rng(seed))
+    graph = nearest_trilateration_graph(points)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    moved, relabelled = similar(points, graph, angle, np.array(shift), scale, perm)
+    _, base = design_gains(graph, FormationSpec.from_coordinates(points))
+    _, info = design_gains(relabelled, FormationSpec.from_coordinates(moved))
+    assert info.iterations == base.iterations
+    assert info.gamma == pytest.approx(base.gamma, rel=1e-10)
 
 
 class TestJointDesign:
