@@ -8,12 +8,7 @@ collision avoidance, and switching topologies.
 """
 
 from .collision import AvoidanceConfig, CollisionCone, adjust_control, build_cones
-from .controllers import (
-    ControllerConfig,
-    PerturbationConfig,
-    ScaleConfig,
-    single_integrator_control,
-)
+from .controllers import ControllerConfig, PerturbationConfig, ScaleConfig
 from .dynamics import ActuatorParams
 from .errors import (
     BcbformError,
@@ -93,7 +88,6 @@ __all__ = [
     "formation_error",
     "lyapunov_monitor",
     "run",
-    "single_integrator_control",
     "validate_graph",
     "verify_gains",
     "verify_higher_order_gains",

@@ -1,22 +1,26 @@
-"""Control-law evaluations for every supported dynamics class.
+"""Control laws of the team, and the projections that turn them into
+vehicle inputs.
 
-All functions are pure: they map local relative measurements (and, where
-needed, an explicit accumulator state) to commanded inputs.  The gain blocks
-commute with planar rotations, so evaluating these laws in any agent-local
-frame and rotating the result back gives the same command.  The consensus
-laws take one agent's measurements; the other laws also take stacked rows.
+Each law has one implementation, over the whole team: it takes the sensing
+edges of one topology as arrays (``_EdgeArrays``, built once per run) and
+the (n, state_dim) team state, and returns the (n, 2) planar commands.  A
+law's ``draws`` is one step's measurement noise (``_EdgeArrays.noise``), or
+None.  The gain blocks commute with planar rotations, so evaluating a law
+in any agent-local frame and rotating the result back gives the same
+command.  The projection and saturation functions take one row per agent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigurationError, GuaranteeViolationError
-from .geometry import row_dot, row_norms
+from .gains import GainMatrix
+from .geometry import SensingGraph, row_dot, row_norms
 
 
 def rotation(alpha) -> NDArray[np.float64]:
@@ -89,31 +93,141 @@ class ControllerConfig:
             raise ConfigurationError(f"unknown actuator mode {self.actuator_mode!r}")
         if self.actuator_mode == "velocity_feedback" and self.k_s is None:
             raise ConfigurationError("velocity_feedback mode requires k_s")
+        if (self.k0_int is None) != (self.k1_int is None):
+            missing = "k0_int" if self.k0_int is None else "k1_int"
+            raise ConfigurationError(
+                "integral control needs both controller.k0_int and controller.k1_int; "
+                f"controller.{missing} is not set"
+            )
+        if self.k0_int is not None:
+            if self.k0_int <= 0 or self.k1_int < 0:
+                raise ConfigurationError(
+                    "integral control requires controller.k0_int > 0 and "
+                    f"controller.k1_int >= 0; got {self.k0_int!r} and {self.k1_int!r}"
+                )
+            if self.scale is not None:
+                raise ConfigurationError(
+                    "controller.scale and the integral gains controller.k0_int/k1_int "
+                    "are two laws; set one of them"
+                )
 
 
-@dataclass
-class IntegralState:
-    """Trapezoidal accumulator of the consensus term, one per agent."""
+@dataclass(frozen=True)
+class _EdgeArrays:
+    """Directed sensing edges of one topology, built once per run.
 
-    accumulator: NDArray[np.float64] = field(
-        default_factory=lambda: np.zeros(2)
+    Edges are agent-major with neighbors sorted.  ``np.bincount`` over
+    ``scatter`` and ``np.add.at`` over ``src`` both add rows edge by edge in
+    array order, so each agent's sum over these arrays rounds exactly like
+    the sum over its own neighbors, taken from zero in neighbor order.
+    """
+
+    src: NDArray[np.intp]  # measuring agent (0-based)
+    scatter: NDArray[np.intp]  # (2E,) flat (n, 2) bin of each ravelled (E, 2) entry
+    dst: NDArray[np.intp]  # measured neighbor (0-based)
+    blocks: NDArray[np.float64]  # (E, 2, 2) gain blocks A_src,dst
+    d_star: NDArray[np.float64] | None  # (E,) desired distances, scale law only
+    draw_rows: NDArray[np.intp]  # (orders, E) rows of one step's noise draw
+
+    def noise(self, rng: np.random.Generator, bound: float) -> NDArray[np.float64]:
+        """One step's measurement noise, uniform in [-bound, bound], as
+        (orders, E, 2): one (E, 2) draw per measured derivative order."""
+        orders, n_edges = self.draw_rows.shape
+        return rng.uniform(-bound, bound, size=(orders * n_edges, 2))[self.draw_rows]
+
+
+def _edge_arrays(
+    graph: SensingGraph, gm: GainMatrix, scale: ScaleConfig | None, orders: int
+) -> _EdgeArrays:
+    """Edge arrays for ``graph``; ``orders`` relative measurements per edge."""
+    src, dst, blocks, d_star = [], [], [], []
+    for i in range(1, graph.n + 1):
+        row = gm.block_row(i)
+        for j in sorted(graph.neighbors(i)):
+            if j not in row:
+                raise ConfigurationError(f"no gain block for neighbor {j}")
+            src.append(i - 1)
+            dst.append(j - 1)
+            blocks.append(row[j])
+            if scale is not None:
+                key = (min(i, j), max(i, j))
+                if key not in scale.d_star:
+                    raise ConfigurationError(f"no desired distance for edge {key}")
+                d_star.append(scale.d_star[key])
+    src = np.array(src, dtype=np.intp)
+    # Noise is drawn agent by agent: all position measurements of an agent,
+    # then each derivative order's, before the next agent's.
+    first = np.searchsorted(src, src)
+    degree = np.bincount(src, minlength=graph.n)[src]
+    draw_rows = (
+        orders * first + np.arange(orders)[:, None] * degree + np.arange(src.size) - first
     )
-    last_term: NDArray[np.float64] | None = None
+    return _EdgeArrays(
+        src=src,
+        scatter=(2 * src[:, None] + np.arange(2)).ravel(),
+        dst=np.array(dst, dtype=np.intp),
+        blocks=np.array(blocks).reshape(-1, 2, 2),
+        d_star=np.array(d_star) if scale is not None else None,
+        draw_rows=draw_rows,
+    )
 
 
-def consensus_term(rel_positions, gain_blocks) -> NDArray[np.float64]:
-    """sum_j A_ij (q_j - q_i) over the supplied neighbor measurements."""
-    u = np.zeros(2)
-    for j, rel in rel_positions:
-        if j not in gain_blocks:
-            raise ConfigurationError(f"no gain block for neighbor {j}")
-        u += gain_blocks[j] @ np.asarray(rel, dtype=np.float64)
+def consensus_term(edges: _EdgeArrays, part, draws=None, order: int = 0):
+    """sum_j A_ij (x_j - x_i) per agent for the (n, 2) rows x of ``part``,
+    and the (E, 2) relative measurements x_j - x_i.  ``draws``, one step's
+    ``_EdgeArrays.noise``, adds its derivative order ``order`` to them."""
+    rel = part.take(edges.dst, axis=0) - part.take(edges.src, axis=0)
+    if draws is not None:
+        rel = rel + draws[order]
+    terms = np.matmul(edges.blocks, rel[:, :, None])
+    n = len(part)
+    return np.bincount(edges.scatter, terms.ravel(), 2 * n).reshape(n, 2), rel
+
+
+def chain_full_a(edges: _EdgeArrays, states, k, draws=None) -> NDArray[np.float64]:
+    """Chain law u_i = sum_o k_o sum_j A_ij (x_j^(o) - x_i^(o)): every
+    derivative level o of the (n, 2 (m + 1)) ``states`` through the gains."""
+    if states.shape[1] < 2 * len(k):
+        raise ConfigurationError(
+            "full_A chain control needs relative derivative measurements"
+        )
+    u = k[0] * consensus_term(edges, states[:, :2], draws)[0]
+    for order in range(1, len(k)):
+        part = states[:, 2 * order : 2 * order + 2]
+        u = u + k[order] * consensus_term(edges, part, draws, order)[0]
     return u
 
 
-def single_integrator_control(rel_positions, gain_blocks) -> NDArray[np.float64]:
-    """u_i = sum_j A_ij (q_j - q_i)."""
-    return consensus_term(rel_positions, gain_blocks)
+def chain_identity(edges: _EdgeArrays, states, k, draws=None) -> NDArray[np.float64]:
+    """Chain law u_i = k_0 sum_j A_ij (q_j - q_i) - sum_o k_o x_i^(o): the
+    positions through the gains, each agent's own derivatives damped."""
+    u = k[0] * consensus_term(edges, states[:, :2], draws)[0]
+    for order in range(1, len(k)):
+        u = u - k[order] * states[:, 2 * order : 2 * order + 2]
+    return u
+
+
+def scale_augmented(edges: _EdgeArrays, positions, f, draws=None) -> NDArray[np.float64]:
+    """Consensus plus the bounded distance correction f(|r| - d*) r per edge,
+    r the relative position; ``f`` is ``ScaleConfig.f``."""
+    u, rel = consensus_term(edges, positions, draws)
+    gain = f(row_norms(rel) - edges.d_star)
+    np.add.at(u, edges.src, gain[:, None] * rel)
+    return u
+
+
+def integral_consensus(edges: _EdgeArrays, positions, state, dt: float, k0: float,
+                       k1: float, draws=None):
+    """k0 times the consensus term plus k1 times its trapezoidal integral,
+    rejecting constant disturbances.  ``state`` is the (accumulator, last
+    term) pair this returns with the command, None on the first step."""
+    term = consensus_term(edges, positions, draws)[0]
+    if state is None:
+        acc = np.zeros_like(term)
+    else:
+        acc, last = state
+        acc = acc + 0.5 * dt * (last + term)
+    return k0 * term + k1 * acc, (acc, term)
 
 
 def perturb_control(u, c, alpha) -> NDArray[np.float64]:
@@ -142,59 +256,6 @@ def saturate_scalar(x, bound: float | None):
     if bound is None:
         return x
     return np.where(np.abs(x) <= bound, x, np.copysign(bound, x))[()]
-
-
-def integral_control(
-    rel_positions,
-    gain_blocks,
-    state: IntegralState,
-    dt: float,
-    k0: float,
-    k1: float,
-) -> tuple[NDArray[np.float64], IntegralState]:
-    """Consensus control with an integral term rejecting constant disturbances."""
-    if k0 <= 0 or k1 < 0:
-        raise GuaranteeViolationError("integral control requires k0 > 0 and k1 >= 0")
-    term = consensus_term(rel_positions, gain_blocks)
-    if state.last_term is None:
-        acc = state.accumulator
-    else:
-        acc = state.accumulator + 0.5 * dt * (state.last_term + term)
-    u = k0 * term + k1 * acc
-    return u, IntegralState(accumulator=acc, last_term=term)
-
-
-def higher_order_control(
-    rel_position_term: NDArray[np.float64],
-    rel_derivative_terms: list[NDArray[np.float64]] | None,
-    own_derivatives: list[NDArray[np.float64]],
-    k: tuple[float, ...],
-    variant: str,
-) -> NDArray[np.float64]:
-    """Chain control from precomputed consensus terms.
-
-    ``rel_position_term`` is sum_j A_ij (q_j - q_i).  For the full_A variant
-    the caller supplies the same consensus sum for each derivative order
-    (requires neighbor derivative measurements); the identity variant damps
-    the agent's own derivatives instead and needs no neighbor derivatives.
-    """
-    m = len(k) - 1
-    u = k[0] * np.asarray(rel_position_term, dtype=np.float64)
-    if m == 0:
-        return u
-    if variant == "full_A":
-        if rel_derivative_terms is None or len(rel_derivative_terms) < m:
-            raise ConfigurationError(
-                "full_A chain control needs relative derivative measurements"
-            )
-        for order in range(1, m + 1):
-            u = u + k[order] * rel_derivative_terms[order - 1]
-        return u
-    if variant == "identity_derivatives":
-        for order in range(1, m + 1):
-            u = u - k[order] * np.asarray(own_derivatives[order - 1], dtype=np.float64)
-        return u
-    raise ConfigurationError(f"unknown chain control variant {variant!r}")
 
 
 def _check_unit(vec, name: str) -> NDArray[np.float64]:
@@ -250,18 +311,3 @@ def car_control(g, u, drive: str = "front", phi=0.0):
     if drive == "rear":
         v = v * np.cos(phi)
     return v, omega
-
-
-def scale_augmented_control(
-    agent: int, rel_positions, gain_blocks, scale: ScaleConfig
-) -> NDArray[np.float64]:
-    """Consensus control plus the bounded distance-correction term."""
-    u = consensus_term(rel_positions, gain_blocks)
-    for j, rel in rel_positions:
-        rel = np.asarray(rel, dtype=np.float64)
-        key = (min(agent, j), max(agent, j))
-        if key not in scale.d_star:
-            raise ConfigurationError(f"no desired distance for edge {key}")
-        d = float(np.linalg.norm(rel))
-        u = u + scale.f(d - scale.d_star[key]) * rel
-    return u

@@ -1,15 +1,16 @@
 """Deterministic fixed-step closed-loop simulation of formation scenarios.
 
-One engine covers all dynamics classes.  Each step evaluates the whole team
-at once: the gain blocks times the relative measurements over the sensing
-edges, summed per agent, plus the chain, scale, integral and perturbation
-terms; avoidance per agent; projection and saturation; and one classical
-RK4 step of the (n, state_dim) state under zero-order-hold commands.  When
-that step is linear in the team state, it is probed once per topology into
-its one-step matrix and applied as one matrix-vector product per step.  The
-metrics are computed once from the stored log.  Per-agent measurement
-frames (``Scenario.frame_angles``) do not enter the step: the blocks
-a*I + b*K commute with every rotation, so no common orientation is needed.
+One engine covers all dynamics classes.  ``run`` builds the step once, with
+the configuration bound: the command (the laws of ``controllers`` on the
+sensing edges of each topology, held as arrays, then avoidance per agent),
+the projection and saturation of the dynamics class, and one classical RK4
+step of the (n, state_dim) state under zero-order-hold commands.  Each time
+step then calls those three on the whole team.  When the step is linear in
+the team state, it is probed once per topology into its one-step matrix and
+applied as one matrix-vector product per step.  The metrics are computed
+once from the stored log.  Per-agent measurement frames
+(``Scenario.frame_angles``) do not enter the step: the blocks a*I + b*K
+commute with every rotation, so no common orientation is needed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .collision import (
     adjust_control,
     build_cones,
 )
-from .controllers import ControllerConfig, ScaleConfig
+from .controllers import ControllerConfig
 from .dynamics import (
     ActuatorParams,
     deriv_car,
@@ -144,8 +145,8 @@ class Scenario:
         for _, idx in self.schedule:
             if not (0 <= idx < len(self.topologies)):
                 raise ConfigurationError(f"schedule topology index {idx} out of range")
-        n, model = self.formation.n, self.agents
-        pert = self.controller.perturbation
+        n, model, cfg = self.formation.n, self.agents, self.controller
+        pert = cfg.perturbation
         per_agent = {
             "agents.actuators": model.actuators,
             "controller.perturbation.c": pert and pert.c,
@@ -156,6 +157,13 @@ class Scenario:
             if values is not None and len(values) != n:
                 raise ConfigurationError(
                     f"{name} has {len(values)} entries; expected {n}, one per agent"
+                )
+        if model.dynamics == "chain":
+            unused = [f"controller.{name}" for name in ("scale", "k0_int", "k1_int")
+                      if getattr(cfg, name) is not None]
+            if unused:
+                raise ConfigurationError(
+                    f"chain dynamics have no scale or integral law; remove {', '.join(unused)}"
                 )
         vehicle = model.dynamics in ("unicycle", "car")
         if vehicle and not model.kinematic_only and model.actuators is None:
@@ -225,175 +233,129 @@ def _initial_states(scenario: Scenario, rng: np.random.Generator) -> NDArray[np.
     return states
 
 
-@dataclass(frozen=True)
-class _EdgeArrays:
-    """Directed sensing edges of one topology, built once per run.
-
-    Edges are agent-major with neighbors sorted, the order in which
-    ``controllers.consensus_term`` adds them.  ``np.bincount`` over
-    ``scatter`` and ``np.add.at`` over ``src`` both add rows edge by edge in
-    array order, so per-agent sums over these arrays round exactly like the
-    per-agent law.
-    """
-
-    src: NDArray[np.intp]  # measuring agent (0-based)
-    scatter: NDArray[np.intp]  # (2E,) flat (n, 2) bin of each ravelled (E, 2) entry
-    dst: NDArray[np.intp]  # measured neighbor (0-based)
-    blocks: NDArray[np.float64]  # (E, 2, 2) gain blocks A_src,dst
-    d_star: NDArray[np.float64] | None  # (E,) desired distances, scale law only
-    draw_rows: NDArray[np.intp]  # (orders, E) rows of one step's noise draw
+def _build_step(scenario: Scenario):
+    """One time step with the configuration bound, built once per run, as
+    (command, project, advance).  ``command(edges, states, integral, rng)``
+    gives the (n, 2) planar commands and the integral law's next state;
+    ``project(states, us, out)`` writes the inputs of the agents' dynamics
+    into ``out``; ``advance(states, cmds, out)`` writes the RK4 step into
+    ``out``.  Map-stepped runs probe the same step for their maps."""
+    return _command(scenario), _projection(scenario), _rk4_advance(scenario)
 
 
-def _edge_arrays(
-    graph: SensingGraph, gm: GainMatrix, scale: ScaleConfig | None, orders: int
-) -> _EdgeArrays:
-    """Edge arrays for ``graph``; ``orders`` relative measurements per edge."""
-    src, dst, blocks, d_star = [], [], [], []
-    for i in range(1, graph.n + 1):
-        row = gm.block_row(i)
-        for j in sorted(graph.neighbors(i)):
-            if j not in row:
-                raise ConfigurationError(f"no gain block for neighbor {j}")
-            src.append(i - 1)
-            dst.append(j - 1)
-            blocks.append(row[j])
-            if scale is not None:
-                key = (min(i, j), max(i, j))
-                if key not in scale.d_star:
-                    raise ConfigurationError(f"no desired distance for edge {key}")
-                d_star.append(scale.d_star[key])
-    src = np.array(src, dtype=np.intp)
-    # Noise is drawn agent by agent: all position measurements of an agent,
-    # then each derivative order's, before the next agent's.
-    first = np.searchsorted(src, src)
-    degree = np.bincount(src, minlength=graph.n)[src]
-    draw_rows = (
-        orders * first + np.arange(orders)[:, None] * degree + np.arange(src.size) - first
-    )
-    return _EdgeArrays(
-        src=src,
-        scatter=(2 * src[:, None] + np.arange(2)).ravel(),
-        dst=np.array(dst, dtype=np.intp),
-        blocks=np.array(blocks).reshape(-1, 2, 2),
-        d_star=np.array(d_star) if scale is not None else None,
-        draw_rows=draw_rows,
-    )
-
-
-def _team_command(
-    scenario: Scenario,
-    edges: _EdgeArrays,
-    states: NDArray[np.float64],
-    integral: tuple | None,
-    dt: float,
-    rng: np.random.Generator,
-):
-    """Planar command u per agent, before projection, for the whole team.
-
-    Returns the (n, 2) commands and the integral state for the next step.
-    """
-    cfg = scenario.controller
-    model = scenario.agents
-    n = scenario.formation.n
-    noise = scenario.sim.measurement_noise
-    draws = None
-    if noise > 0.0:
-        orders, n_edges = edges.draw_rows.shape
-        draws = rng.uniform(-noise, noise, size=(orders * n_edges, 2))[edges.draw_rows]
-
-    def consensus(part, order):
-        """sum_j A_ij (x_j - x_i) per agent, and the relative measurements."""
-        rel = part.take(edges.dst, axis=0) - part.take(edges.src, axis=0)
-        if draws is not None:
-            rel = rel + draws[order]
-        terms = np.matmul(edges.blocks, rel[:, :, None])
-        return np.bincount(edges.scatter, terms.ravel(), 2 * n).reshape(n, 2), rel
-
-    u, rel = consensus(states[:, :2], 0)
+def _command(scenario: Scenario):
+    """The law the configuration selects (the chain law of its variant, else
+    the scale or the integral law, else consensus) on this step's
+    measurements, then the perturbation, then avoidance."""
+    cfg, model, dt = scenario.controller, scenario.agents, scenario.sim.dt
     if model.dynamics == "chain":
+        chain = ctl.chain_full_a if cfg.chain_variant == "full_A" else ctl.chain_identity
         k = cfg.k_chain
-        u = k[0] * u
-        for order in range(1, len(k)):
-            part = states[:, 2 * order : 2 * order + 2]
-            if cfg.chain_variant == "full_A":
-                u = u + k[order] * consensus(part, order)[0]
-            else:
-                u = u - k[order] * part
-    elif edges.d_star is not None:
-        gain = cfg.scale.f(row_norms(rel) - edges.d_star)
-        np.add.at(u, edges.src, gain[:, None] * rel)
-    elif integral is not None:
-        acc, last = integral
-        if last is not None:
-            acc = acc + 0.5 * dt * (last + u)
-        integral = (acc, u)
-        u = cfg.k0_int * u + cfg.k1_int * acc
+        law = lambda edges, x, integral, draws: (chain(edges, x, k, draws), None)
+    elif cfg.scale is not None:
+        scale, f = ctl.scale_augmented, cfg.scale.f
+        law = lambda edges, x, integral, draws: (scale(edges, x[:, :2], f, draws), None)
+    elif cfg.k0_int is not None:
+        integral_law, k0, k1 = ctl.integral_consensus, cfg.k0_int, cfg.k1_int
+        law = lambda edges, x, integral, draws: integral_law(
+            edges, x[:, :2], integral, dt, k0, k1, draws
+        )
+    else:
+        consensus = ctl.consensus_term
+        law = lambda edges, x, integral, draws: (consensus(edges, x[:, :2], draws)[0], None)
+    noise = scenario.sim.measurement_noise
+    if noise > 0.0:
+        command = lambda edges, x, integral, rng: law(
+            edges, x, integral, edges.noise(rng, noise)
+        )
+    else:
+        command = lambda edges, x, integral, rng: law(edges, x, integral, None)
+
     if cfg.perturbation is not None:
-        u = ctl.perturb_control(u, cfg.perturbation.c, cfg.perturbation.alpha)
+        unperturbed, perturb = command, ctl.perturb_control
+        c, alpha = cfg.perturbation.c, cfg.perturbation.alpha
 
-    # Collision avoidance sees every other agent's position, not just
-    # sensing-graph neighbors.  An agent with no other agent within d_c gets
-    # no cone, and adjust_control returns its command unchanged, so only the
-    # candidates are visited; u is this step's own array.
-    if scenario.avoidance is not None:
-        positions = states[:, :2]
-        near = activation_candidates(positions, scenario.avoidance)
-        for i in np.flatnonzero(near.any(axis=1)):
-            cones = build_cones(positions[i], positions[near[i]], scenario.avoidance)
-            u[i] = adjust_control(u[i], cones, scenario.avoidance)
-    return u, integral
+        def command(edges, states, integral, rng):
+            u, integral = unperturbed(edges, states, integral, rng)
+            return perturb(u, c, alpha), integral
+
+    avoidance = scenario.avoidance
+    if avoidance is not None:
+        unadjusted = command
+
+        # Avoidance sees every other agent's position, not just sensing-graph
+        # neighbors.  An agent with no other agent within d_c gets no cone,
+        # and adjust_control returns its command unchanged, so only the
+        # candidates are visited; u is this step's own array.
+        def command(edges, states, integral, rng):
+            u, integral = unadjusted(edges, states, integral, rng)
+            positions = states[:, :2]
+            near = activation_candidates(positions, avoidance)
+            for i in np.flatnonzero(near.any(axis=1)):
+                cones = build_cones(positions[i], positions[near[i]], avoidance)
+                u[i] = adjust_control(u[i], cones, avoidance)
+            return u, integral
+
+    return command
 
 
-def _project_commands(
-    scenario: Scenario,
-    states: NDArray[np.float64],
-    us: NDArray[np.float64],
-    out: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
+def _projection(scenario: Scenario):
     """Per-dynamics-class projection/saturation of the planar commands, one
-    (n, 2) row per agent written into ``out`` when given."""
-    cfg = scenario.controller
-    model = scenario.agents
-    if out is None:
-        out = np.empty_like(us)
+    (n, 2) row per agent written into ``out``."""
+    cfg, model = scenario.controller, scenario.agents
     if model.dynamics in ("single_integrator", "chain"):
-        out[...] = us if cfg.u_max is None else ctl.saturate_norm(us, cfg.u_max)
-        return out
+        u_max = cfg.u_max
+        if u_max is None:
+            saturate = lambda us: us
+        else:
+            saturate = lambda us: ctl.saturate_norm(us, u_max)
+
+        def project(states, us, out):
+            out[...] = saturate(us)
+            return out
+
+        return project
     # A unicycle projects like a front-drive car that never steers.
     car = model.dynamics == "car"
-    phi = states[:, 3] if car else 0.0
     drive = model.drive if car else "front"
-    h = heading_vector(states[:, 2] + phi)
+    steering = (lambda states: states[:, 3]) if car else (lambda states: 0.0)
     if model.kinematic_only:
-        v, omega = ctl.car_control(h, us, drive, phi)
+        inputs = lambda h, us, states, phi: ctl.car_control(h, us, drive, phi)
     else:
-        v, omega = ctl.unicycle_actuator_control(
-            h, us, states[:, -2], cfg.actuator_mode, cfg.k_s, drive, phi
+        mode, k_s = cfg.actuator_mode, cfg.k_s
+        inputs = lambda h, us, states, phi: ctl.unicycle_actuator_control(
+            h, us, states[:, -2], mode, k_s, drive, phi
         )
-    v = ctl.saturate_scalar(v, cfg.v_max)
-    if model.kinematic_only and drive == "rear":
-        # v_max bounds the driven rear wheels; deriv_car integrates the
-        # front-axle speed.
-        v = rear_to_front_speed(v, phi)
-    out[:, 0] = v
-    out[:, 1] = ctl.saturate_scalar(omega, cfg.omega_max)
-    return out
+    # v_max bounds the driven rear wheels of a kinematic rear-drive car;
+    # deriv_car integrates the front-axle speed.
+    rear = model.kinematic_only and drive == "rear"
+    speed = rear_to_front_speed if rear else (lambda v, phi: v)
+    v_max, omega_max = cfg.v_max, cfg.omega_max
+
+    def project(states, us, out):
+        phi = steering(states)
+        v, omega = inputs(heading_vector(states[:, 2] + phi), us, states, phi)
+        out[:, 0] = speed(ctl.saturate_scalar(v, v_max), phi)
+        out[:, 1] = ctl.saturate_scalar(omega, omega_max)
+        return out
+
+    return project
 
 
-def _rk4_step(deriv, state, dt: float, out, stages) -> None:
-    """Classical RK4 step of ``state`` into ``out``.  ``deriv(x, buf)`` returns
-    the field at x, written into buf or not; ``stages`` holds five arrays
-    shaped like ``state``.  Each array operation is the one of
+def _rk4_step(deriv, state, cmds, dt: float, out, stages) -> None:
+    """Classical RK4 step of ``state`` into ``out``.  ``deriv(x, cmds, buf)``
+    returns the field at x, written into buf or not; ``stages`` holds five
+    arrays shaped like ``state``.  Each array operation is the one of
     ``state + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` with stage points
     ``state + dt/2 k1`` and so on, so the result rounds the same."""
     b1, b2, b3, b4, x = stages
-    k1 = deriv(state, b1)
+    k1 = deriv(state, cmds, b1)
     np.add(state, np.multiply(0.5 * dt, k1, out=x), out=x)
-    k2 = deriv(x, b2)
+    k2 = deriv(x, cmds, b2)
     np.add(state, np.multiply(0.5 * dt, k2, out=x), out=x)
-    k3 = deriv(x, b3)
+    k3 = deriv(x, cmds, b3)
     np.add(state, np.multiply(dt, k3, out=x), out=x)
-    k4 = deriv(x, b4)
+    k4 = deriv(x, cmds, b4)
     # deriv may return an array it does not own (the single integrator's is
     # the commands), so only x and b1, free once k1 is summed, take the sums.
     np.add(k1, np.multiply(2.0, k2, out=x), out=x)
@@ -402,54 +364,60 @@ def _rk4_step(deriv, state, dt: float, out, stages) -> None:
     np.add(state, np.multiply(dt / 6.0, x, out=x), out=out)
 
 
-def _advance(
-    scenario: Scenario,
-    states: NDArray[np.float64],
-    cmds: NDArray[np.float64],
-    dt: float,
-    params: ActuatorParams | None,
-    out: NDArray[np.float64] | None = None,
-    stages: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
-    """One RK4 step of the whole team under zero-order-hold commands, written
-    into ``out`` when given.  ``stages``, shaped (5, n, state_dim), holds the
-    stage fields and points; a run passes the same one to every step."""
-    model = scenario.agents
-    kinematic = model.kinematic_only
-    phi_max = scenario.controller.phi_max
-    if out is None:
-        out = np.empty_like(states)
-    if stages is None:
-        stages = np.empty((5,) + states.shape)
+def _rk4_advance(scenario: Scenario):
+    """One RK4 step of the whole team under zero-order-hold commands, with
+    the vector field of the dynamics class bound; its stage fields and points
+    live in one (5, n, state_dim) buffer for the whole run."""
+    model, dt = scenario.agents, scenario.sim.dt
+    kinematic, phi_max = model.kinematic_only, scenario.controller.phi_max
+    params = None
+    if model.actuators:
+        params = ActuatorParams(
+            *np.array([[p.a, p.b, p.c, p.d] for p in model.actuators]).T
+        )
     if model.dynamics == "single_integrator":
-        deriv = lambda s, buf: deriv_single_integrator(cmds)
+        field = lambda s, cmds, buf: deriv_single_integrator(cmds)
     elif model.dynamics == "chain":
-        deriv = lambda s, buf: deriv_chain(s, cmds, model.chain_order, buf)
+        order = model.chain_order
+        field = lambda s, cmds, buf: deriv_chain(s, cmds, order, buf)
     elif model.dynamics == "unicycle":
-        deriv = lambda s, buf: deriv_unicycle(s, cmds, params, kinematic, buf)
+        field = lambda s, cmds, buf: deriv_unicycle(s, cmds, params, kinematic, buf)
     else:
         wheelbase = model.wheelbase
-        deriv = lambda s, buf: deriv_car(s, cmds, wheelbase, params, kinematic, phi_max, buf)
-    _rk4_step(deriv, states, dt, out, stages)
+        field = lambda s, cmds, buf: deriv_car(
+            s, cmds, wheelbase, params, kinematic, phi_max, buf
+        )
+    stages = np.empty((5, scenario.formation.n, model.state_dim()))
+
+    def advance(states, cmds, out):
+        _rk4_step(field, states, cmds, dt, out, stages)
+        return out
+
     if model.dynamics == "car" and phi_max is not None:
-        np.clip(out[:, 3], -phi_max, phi_max, out=out[:, 3])
-    return out
+        unclamped = advance
+
+        def advance(states, cmds, out):
+            unclamped(states, cmds, out)
+            np.clip(out[:, 3], -phi_max, phi_max, out=out[:, 3])
+            return out
+
+    return advance
 
 
-def _one_step_map(scenario: Scenario, edges: _EdgeArrays, dim: int, dt: float):
+def _one_step_map(step, edges: ctl._EdgeArrays, n: int, dim: int):
     """(T, F) of a loop that is linear in the stacked team state x: one step
     takes x to T x and logs the command F x.  Column j is the step taken
     from the j-th unit state, so T and F are the step the simulator applies."""
-    n = scenario.formation.n
+    command, project, advance = step
     T = np.empty((n * dim, n * dim))
     F = np.empty((2 * n, n * dim))
+    cmds, after = np.empty((n, 2)), np.empty((n, dim))
     for j in range(n * dim):
         states = np.zeros((n, dim))
         states.flat[j] = 1.0
-        us, _ = _team_command(scenario, edges, states, None, dt, None)
-        cmds = _project_commands(scenario, states, us)
-        F[:, j] = cmds.ravel()
-        T[:, j] = _advance(scenario, states, cmds, dt, None).ravel()
+        us, _ = command(edges, states, None, None)
+        F[:, j] = project(states, us, cmds).ravel()
+        T[:, j] = advance(states, cmds, after).ravel()
     return T, F
 
 
@@ -550,15 +518,14 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     model = scenario.agents
     dt = scenario.sim.dt
     chain = model.dynamics == "chain"
-    scale = cfg.scale if not chain else None
-    integral_law = (
-        not chain and scale is None and cfg.k0_int is not None and cfg.k1_int is not None
-    )
+    # Scenario refuses the scale and integral laws on chains, and the two
+    # laws together.
+    integral_law = cfg.k0_int is not None
     # Under zero-order hold, RK4 on q' = A_k q is exactly q+ = (I + dt A_k) q,
     # which diverges once dt >= 2/rho(A_k).  The other laws add terms to A_k.
     linear_loop = (
         model.dynamics == "single_integrator"
-        and scale is None
+        and cfg.scale is None
         and cfg.perturbation is None
         and not integral_law
     )
@@ -568,7 +535,7 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         model.dynamics in ("single_integrator", "chain")
         and scenario.avoidance is None
         and cfg.u_max is None
-        and scale is None
+        and cfg.scale is None
         and not integral_law
         and scenario.sim.measurement_noise == 0.0
     )
@@ -585,10 +552,12 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     full_A = chain and cfg.chain_variant == "full_A"
     orders = model.chain_order + 1 if full_A else 1
     edges = [
-        _edge_arrays(g, gm, scale, orders) for g, gm in zip(scenario.topologies, gains)
+        ctl._edge_arrays(g, gm, cfg.scale, orders)
+        for g, gm in zip(scenario.topologies, gains)
     ]
     dim = model.state_dim()
-    maps = [_one_step_map(scenario, e, dim, dt) for e in edges] if by_map else None
+    step = _build_step(scenario)
+    maps = [_one_step_map(step, e, n, dim) for e in edges] if by_map else None
     for k, (T, _) in enumerate(maps or ()):
         radius = _map_radius(T, basis, full_A)
         if radius >= 1.0:
@@ -596,16 +565,6 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
                 f"sim.dt={dt:g} gives the one-step map of topology {k} spectral radius "
                 f"{radius:.6g} >= 1 off the similarity modes; the loop would diverge"
             )
-    integral = None
-    if integral_law:
-        if cfg.k0_int <= 0 or cfg.k1_int < 0:
-            raise GuaranteeViolationError("integral control requires k0 > 0 and k1 >= 0")
-        integral = (np.zeros((n, 2)), None)
-    params = None
-    if model.actuators:
-        params = ActuatorParams(
-            *np.array([[p.a, p.b, p.c, p.d] for p in model.actuators]).T
-        )
 
     rng = np.random.default_rng(scenario.sim.seed)
     states = _initial_states(scenario, rng)
@@ -626,19 +585,16 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
             np.matmul(X[first:end], F.T, out=cmds_log.reshape(steps, -1)[first:end])
     else:
         # Each step reads its state from the log and writes the next one
-        # there; the RK4 stages reuse one buffer for the whole run.
+        # there.  The integral law's state is None before the first step.
         states_log[0] = states
-        stages = np.empty((5, n, dim))
+        command, project, advance = step
+        integral = None
         for k, topo_idx in enumerate(topo_log.tolist()):
             states = states_log[k]
-            us, next_integral = _team_command(
-                scenario, edges[topo_idx], states, integral, dt, rng
-            )
-            _project_commands(scenario, states, us, out=cmds_log[k])
+            us, next_integral = command(edges[topo_idx], states, integral, rng)
+            project(states, us, cmds_log[k])
             if k + 1 < steps:
-                _advance(
-                    scenario, states, cmds_log[k], dt, params, states_log[k + 1], stages
-                )
+                advance(states, cmds_log[k], states_log[k + 1])
                 integral = next_integral
 
     positions = states_log[:, :, :2]
@@ -652,7 +608,7 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         t_arr, err_log, scenario.sim.convergence_threshold
     )
 
-    if chain or integral is not None:
+    if chain or integral_law:
         # The quadratic candidate is not the theorem's Lyapunov function for
         # chain or integral dynamics, so these runs are left unchecked.
         monitor = MonitorReport.unchecked()

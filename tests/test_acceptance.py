@@ -17,14 +17,17 @@ from conftest import CAPTURE
 
 from bcbform.cli import demo_scenario
 from bcbform.collision import AvoidanceConfig, build_cones, adjust_control
+from reference_laws import star_edges
+
 from bcbform.controllers import (
     ControllerConfig,
     PerturbationConfig,
     ScaleConfig,
+    _edge_arrays,
+    consensus_term,
     rotation,
     saturate_norm,
     saturate_scalar,
-    single_integrator_control,
     unicycle_control,
 )
 from bcbform.gains import (
@@ -194,14 +197,8 @@ class TestCriterion05Robustness:
         for seed in range(20):
             base = hexagon_scenario(sim=SimConfig(t_final=60.0, seed=seed))
             states = _initial_states(base, np.random.default_rng(seed))
-            blocks = [hex_gains[0].block_row(i) for i in range(1, 7)]
-            u0 = max(
-                float(np.linalg.norm(single_integrator_control(
-                    [(j, states[j - 1] - states[i - 1]) for j in blocks[i - 1]],
-                    blocks[i - 1],
-                )))
-                for i in range(1, 7)
-            )
+            edges = _edge_arrays(base.topologies[0], hex_gains[0], None, 1)
+            u0 = float(np.max(np.linalg.norm(consensus_term(edges, states)[0], axis=1)))
             scenario = hexagon_scenario(
                 controller=ControllerConfig(u_max=0.1 * u0),
                 sim=SimConfig(t_final=60.0, seed=seed),
@@ -454,7 +451,9 @@ class TestCriterion12GoldenVector:
             2: np.array([[2.0, -1.0], [1.0, 2.0]]),
             3: np.array([[-1.0, 3.0], [-3.0, -1.0]]),
         }
-        u = single_integrator_control([(2, (2.0, 3.0)), (3, (3.0, 1.0))], gains)
+        # Agent 1 at the origin measures agents 2 and 3 at (2, 3) and (3, 1).
+        positions = np.array([[0.0, 0.0], [2.0, 3.0], [3.0, 1.0]])
+        u = consensus_term(star_edges(gains), positions)[0][0]
         report(12, "reference two-neighbor command",
                u[0] == 1.0 and u[1] == -2.0)
 
@@ -469,12 +468,13 @@ class TestCriterion13PropertySuites:
         ok = True
         for _ in range(self.CASES):
             a, b = rng.normal(size=2)
-            gains = {2: np.array([[a, b], [-b, a]])}
+            edges = star_edges({2: np.array([[a, b], [-b, a]])})
             rel = rng.normal(size=2)
             theta = rng.uniform(-math.pi, math.pi)
             R = rotation(theta)
-            u = single_integrator_control([(2, rel)], gains)
-            u_rot = single_integrator_control([(2, R @ rel)], gains)
+            # Agent 1 at the origin measures agent 2 at rel, then at R rel.
+            u = consensus_term(edges, np.array([[0.0, 0.0], rel]))[0][0]
+            u_rot = consensus_term(edges, np.array([[0.0, 0.0], R @ rel]))[0][0]
             ok &= np.allclose(u_rot, R @ u, atol=1e-10)
         report(13, "frame equivariance", ok)
 

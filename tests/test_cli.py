@@ -127,7 +127,38 @@ MALFORMED = {
     "string_formation_center": (
         "scenario", lambda d: d["formation"].update(center="no"),
         "formation.center must be of type bool; got 'no'"),
+    "k0_int_without_k1_int": (
+        "scenario", lambda d: d["controller"].update(k0_int=1.0),
+        "controller.k1_int is not set"),
+    "k1_int_without_k0_int": (
+        "scenario", lambda d: d["controller"].update(k1_int=0.5),
+        "controller.k0_int is not set"),
+    "negative_k0_int_alone": (
+        "scenario", lambda d: d["controller"].update(k0_int=-1.0),
+        "controller.k1_int is not set"),
+    "zero_k0_int": (
+        "scenario", lambda d: d["controller"].update(k0_int=0.0, k1_int=0.5),
+        "controller.k0_int > 0"),
+    "scale_with_integral_gains": (
+        "scenario", lambda d: d["controller"].update(
+            k0_int=1.0, k1_int=0.5, scale={"d_star": {"1-2": 2.0, "1-3": 2.0, "2-3": 2.0}}),
+        "controller.scale and the integral gains controller.k0_int/k1_int"),
+    "chain_with_scale": (
+        "scenario", lambda d: (d["agents"].update(dynamics="chain"), d["controller"].update(
+            scale={"d_star": {"1-2": 2.0, "1-3": 2.0, "2-3": 2.0}})),
+        "chain dynamics have no scale or integral law; remove controller.scale"),
+    "chain_with_integral_gains": (
+        "scenario", lambda d: (d["agents"].update(dynamics="chain"),
+                               d["controller"].update(k0_int=1.0, k1_int=0.5)),
+        "remove controller.k0_int, controller.k1_int"),
 }
+
+# Controller settings that a run would drop without a word.
+DROPPED_SETTINGS = [
+    "k0_int_without_k1_int", "k1_int_without_k0_int", "negative_k0_int_alone",
+    "zero_k0_int", "scale_with_integral_gains", "chain_with_scale",
+    "chain_with_integral_gains",
+]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -145,13 +176,9 @@ def test_malformed_document_is_one_line_parse_error(workdir, capsys, case):
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
-@pytest.mark.parametrize("case", [
-    "two_actuator_rows_for_three_agents", "two_perturbation_gains_for_three_agents",
-    "two_frame_angles_for_three_agents", "unknown_drive", "misspelt_actuator_mode",
-    "velocity_feedback_without_k_s", "dynamic_car_without_actuators",
-])
-def test_vehicle_and_per_agent_errors_refused_before_stepping(workdir, capsys, case):
-    _, mutate, named = MALFORMED[case]
+def assert_refused_before_stepping(workdir, capsys, mutate, named):
+    """After ``mutate``, design and simulate both exit 1 with one error line
+    naming ``named``, and neither writes its output."""
     write_triangle(workdir / "tri.yaml")
     assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
     rewrite(workdir / "tri.yaml", mutate)
@@ -165,21 +192,29 @@ def test_vehicle_and_per_agent_errors_refused_before_stepping(workdir, capsys, c
     assert not (workdir / "h.json").exists() and not (workdir / "out.csv").exists()
 
 
+@pytest.mark.parametrize("case", [
+    "two_actuator_rows_for_three_agents", "two_perturbation_gains_for_three_agents",
+    "two_frame_angles_for_three_agents", "unknown_drive", "misspelt_actuator_mode",
+    "velocity_feedback_without_k_s", "dynamic_car_without_actuators",
+])
+def test_vehicle_and_per_agent_errors_refused_before_stepping(workdir, capsys, case):
+    _, mutate, named = MALFORMED[case]
+    assert_refused_before_stepping(workdir, capsys, mutate, named)
+
+
+@pytest.mark.parametrize("case", DROPPED_SETTINGS)
+def test_dropped_controller_settings_refused_before_stepping(workdir, capsys, case):
+    _, mutate, named = MALFORMED[case]
+    assert_refused_before_stepping(workdir, capsys, mutate, named)
+
+
 @pytest.mark.parametrize("init, named", [
     ({"kind": "explicit", "states": [[0.0, 0.0, 0.0]] * 3}, "(3, 3)"),
     ({"kind": "grid"}, "'grid'"),
 ], ids=["explicit_3x3", "grid"])
 def test_malformed_init_refused_at_load(workdir, capsys, init, named):
-    write_triangle(workdir / "tri.yaml")
-    assert main(["design", "tri.yaml", "-o", "g.json", "--quiet"]) == EXIT_OK
-    rewrite(workdir / "tri.yaml", lambda d: d["sim"].update(init=init))
-    capsys.readouterr()
-    assert main(["design", "tri.yaml", "-o", "h.json", "--quiet"]) == EXIT_PARSE
-    assert main(["simulate", "tri.yaml", "g.json", "-o", "out.csv",
-                 "--quiet"]) == EXIT_PARSE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(named in line for line in err)
-    assert not (workdir / "h.json").exists() and not (workdir / "out.csv").exists()
+    assert_refused_before_stepping(
+        workdir, capsys, lambda d: d["sim"].update(init=init), named)
 
 
 class TestDesign:

@@ -7,46 +7,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_laws import star_edges
+
 from bcbform.controllers import (
     ControllerConfig,
-    IntegralState,
     PerturbationConfig,
     ScaleConfig,
+    _edge_arrays,
     car_control,
+    chain_full_a,
+    chain_identity,
     consensus_term,
-    higher_order_control,
-    integral_control,
+    integral_consensus,
     perturb_control,
     rotation,
     saturate_norm,
     saturate_scalar,
-    scale_augmented_control,
-    single_integrator_control,
+    scale_augmented,
     unicycle_actuator_control,
     unicycle_control,
 )
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
+from bcbform.gains import GainMatrix
+from bcbform.geometry import SensingGraph
 
 
 def block(a, b):
     return np.array([[a, b], [-b, a]])
 
 
+def star_states(*rows):
+    """Team state, one row of positions and derivatives per agent.  Agent 1,
+    whose command row 0 the tests check, sits at the origin, so agent j's
+    row is what agent 1 measures relative to it."""
+    return np.array(rows, dtype=np.float64)
+
+
 class TestConsensus:
     def test_two_neighbor_reference_command(self):
         # Hand-checkable worked case: exact integer arithmetic end to end.
         gains = {2: block(2.0, -1.0), 3: block(-1.0, 3.0)}
-        rel = [(2, (2.0, 3.0)), (3, (3.0, 1.0))]
-        u = single_integrator_control(rel, gains)
-        assert np.array_equal(u, [1.0, -2.0])
+        states = star_states((0.0, 0.0), (2.0, 3.0), (3.0, 1.0))
+        u, _ = consensus_term(star_edges(gains), states)
+        assert np.array_equal(u[0], [1.0, -2.0])
 
     def test_missing_gain_block_rejected(self):
+        gm = GainMatrix.from_edge_params(SensingGraph(2, [(1, 2)]), {(1, 2): (1.0, 0.0)})
         with pytest.raises(ConfigurationError):
-            consensus_term([(4, (1.0, 0.0))], {2: block(1.0, 0.0)})
+            _edge_arrays(SensingGraph(4, [(1, 4)]), gm, None, 1)
 
     def test_zero_error_gives_zero_command(self):
-        gains = {2: block(1.5, 0.25)}
-        assert np.array_equal(consensus_term([(2, (0.0, 0.0))], gains), [0.0, 0.0])
+        edges = star_edges({2: block(1.5, 0.25)})
+        u, _ = consensus_term(edges, star_states((0.0, 0.0), (0.0, 0.0)))
+        assert np.array_equal(u[0], [0.0, 0.0])
 
 
 class TestPerturbation:
@@ -89,48 +102,53 @@ class TestSaturation:
 
 class TestIntegral:
     def test_trapezoid_accumulator_oracle(self):
-        gains = {2: block(1.0, 0.0)}
-        state = IntegralState()
+        edges = star_edges({2: block(1.0, 0.0)})
+        state = None
         dt, k0, k1 = 0.5, 1.0, 2.0
         rels = [np.array([1.0, 0.0]), np.array([0.5, 0.0]), np.array([0.25, 0.0])]
         acc = 0.0
         terms = []
         for rel in rels:
-            u, state = integral_control([(2, rel)], gains, state, dt, k0, k1)
+            u, state = integral_consensus(edges, star_states((0.0, 0.0), rel), state,
+                                          dt, k0, k1)
             terms.append(rel[0])
             if len(terms) > 1:
                 acc += 0.5 * dt * (terms[-2] + terms[-1])
-            assert u[0] == pytest.approx(k0 * rel[0] + k1 * acc)
-        assert state.accumulator[0] == pytest.approx(acc)
+            assert u[0][0] == pytest.approx(k0 * rel[0] + k1 * acc)
+        accumulator, _ = state
+        assert accumulator[0][0] == pytest.approx(acc)
 
     def test_invalid_gains_rejected(self):
-        with pytest.raises(GuaranteeViolationError):
-            integral_control([(2, (1.0, 0.0))], {2: block(1.0, 0.0)},
-                             IntegralState(), 0.01, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="k0_int > 0"):
+            ControllerConfig(k0_int=0.0, k1_int=1.0)
 
 
 class TestHigherOrder:
+    # Agent 1 sits at the origin; agent 2 at (1, 0) through an identity block,
+    # so agent 1's position consensus term is (1, 0).
+    POS_TERM = np.array([1.0, 0.0])
+
     def test_identity_variant_damps_own_derivatives(self):
-        pos_term = np.array([1.0, 0.0])
         own = [np.array([0.5, 0.5]), np.array([0.0, 1.0])]
-        u = higher_order_control(pos_term, None, own, (2.0, 3.0, 4.0),
-                                 "identity_derivatives")
-        assert np.allclose(u, 2.0 * pos_term - 3.0 * own[0] - 4.0 * own[1])
+        states = star_states((0.0, 0.0, *own[0], *own[1]), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        u = chain_identity(star_edges({2: block(1.0, 0.0)}), states, (2.0, 3.0, 4.0))
+        assert np.allclose(u[0], 2.0 * self.POS_TERM - 3.0 * own[0] - 4.0 * own[1])
 
     def test_full_variant_couples_relative_derivatives(self):
-        pos_term = np.array([1.0, 0.0])
         rel = [np.array([0.5, 0.5]), np.array([0.0, 1.0])]
-        u = higher_order_control(pos_term, rel, [], (2.0, 3.0, 4.0), "full_A")
-        assert np.allclose(u, 2.0 * pos_term + 3.0 * rel[0] + 4.0 * rel[1])
+        states = star_states((0.0,) * 6, (1.0, 0.0, *rel[0], *rel[1]))
+        edges = star_edges({2: block(1.0, 0.0)}, orders=3)
+        u = chain_full_a(edges, states, (2.0, 3.0, 4.0))
+        assert np.allclose(u[0], 2.0 * self.POS_TERM + 3.0 * rel[0] + 4.0 * rel[1])
 
     def test_full_variant_requires_measurements(self):
         with pytest.raises(ConfigurationError):
-            higher_order_control(np.ones(2), None, [], (1.0, 1.0), "full_A")
+            chain_full_a(star_edges({2: block(1.0, 0.0)}), np.ones((2, 2)), (1.0, 1.0))
 
     def test_first_order_reduces_to_scaled_consensus(self):
-        u = higher_order_control(np.array([1.0, -2.0]), None, [], (3.0,),
-                                 "identity_derivatives")
-        assert np.array_equal(u, [3.0, -6.0])
+        states = star_states((0.0, 0.0), (1.0, -2.0))
+        u = chain_identity(star_edges({2: block(1.0, 0.0)}), states, (3.0,))
+        assert np.array_equal(u[0], [3.0, -6.0])
 
 
 class TestNonholonomicProjection:
@@ -189,26 +207,30 @@ class TestNonholonomicProjection:
 
 class TestScaleAugmentation:
     def test_correction_pushes_toward_desired_distance(self):
-        gains = {2: block(0.0, 0.0)}
         scale = ScaleConfig(d_star={(1, 2): 1.0})
+        edges = star_edges({2: block(0.0, 0.0)}, scale)
+
+        def command(rel):
+            return scale_augmented(edges, star_states((0.0, 0.0), rel), scale.f)[0]
+
         # Neighbor too far: correction points toward the neighbor.
-        u_far = scale_augmented_control(1, [(2, (2.0, 0.0))], gains, scale)
+        u_far = command((2.0, 0.0))
         assert u_far[0] > 0
         # Neighbor too close: correction points away.
-        u_near = scale_augmented_control(1, [(2, (0.5, 0.0))], gains, scale)
+        u_near = command((0.5, 0.0))
         assert u_near[0] < 0
         # At the desired distance the correction vanishes.
-        u_on = scale_augmented_control(1, [(2, (1.0, 0.0))], gains, scale)
+        u_on = command((1.0, 0.0))
         assert np.allclose(u_on, 0.0, atol=1e-15)
 
     def test_missing_edge_distance_rejected(self):
         with pytest.raises(ConfigurationError):
-            scale_augmented_control(1, [(2, (1.0, 0.0))], {2: block(1.0, 0.0)},
-                                    ScaleConfig(d_star={}))
+            star_edges({2: block(1.0, 0.0)}, ScaleConfig(d_star={}))
 
     def test_correction_is_bounded(self):
         scale = ScaleConfig(d_star={(1, 2): 1.0}, k_f=2.0)
-        u = scale_augmented_control(1, [(2, (1e6, 0.0))], {2: block(0.0, 0.0)}, scale)
+        edges = star_edges({2: block(0.0, 0.0)}, scale)
+        u = scale_augmented(edges, star_states((0.0, 0.0), (1e6, 0.0)), scale.f)[0]
         # tanh correction saturates at 1/k_f per unit of separation direction.
         assert np.linalg.norm(u) <= 1e6 * (1.0 / 2.0) * (1 + 1e-12)
 
@@ -241,3 +263,23 @@ class TestControllerConfig:
     def test_defaults_valid(self):
         cfg = ControllerConfig()
         assert cfg.chain_variant == "identity_derivatives"
+
+    # Settings the simulator would otherwise drop without a word: half of the
+    # integral gain pair, and the integral gains beside the scale law.
+    @pytest.mark.parametrize("settings, named", [
+        (dict(k0_int=1.0), "controller.k1_int is not set"),
+        (dict(k1_int=0.5), "controller.k0_int is not set"),
+        (dict(k0_int=-1.0), "controller.k1_int is not set"),
+        (dict(k0_int=-1.0, k1_int=0.5), "controller.k0_int > 0"),
+        (dict(k0_int=1.0, k1_int=-0.5), "controller.k1_int >= 0"),
+        (dict(k0_int=1.0, k1_int=0.5, scale=ScaleConfig(d_star={(1, 2): 1.0})),
+         "controller.scale and the integral gains"),
+    ], ids=["k0_alone", "k1_alone", "negative_k0_alone", "negative_k0", "negative_k1",
+            "scale_with_integral"])
+    def test_dropped_integral_settings_rejected(self, settings, named):
+        with pytest.raises(ConfigurationError, match=named):
+            ControllerConfig(**settings)
+
+    def test_integral_gains_accepted(self):
+        cfg = ControllerConfig(k0_int=1.0, k1_int=0.0)
+        assert (cfg.k0_int, cfg.k1_int) == (1.0, 0.0)

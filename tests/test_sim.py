@@ -6,6 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from reference_laws import (
+    IntegralState,
+    consensus_term,
+    higher_order_control,
+    integral_control,
+    scale_augmented_control,
+)
+
 from bcbform import sim as sim_module
 from bcbform.cli import DEMO_NAMES, demo_scenario
 from bcbform.collision import (
@@ -16,15 +24,11 @@ from bcbform.collision import (
 )
 from bcbform.controllers import (
     ControllerConfig,
-    IntegralState,
     PerturbationConfig,
     ScaleConfig,
-    consensus_term,
-    higher_order_control,
-    integral_control,
+    _edge_arrays,
     perturb_control,
     rotation,
-    scale_augmented_control,
 )
 from bcbform.dynamics import heading_vector
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
@@ -103,6 +107,15 @@ class TestScenarioValidation:
         bad = SimConfig(init=InitSpec(kind="explicit", states=np.zeros((6, 3))))
         with pytest.raises(ConfigurationError, match=r"\(6, 3\)"):
             Scenario(formation=spec, topologies=(g,), schedule=((0.0, 0),), sim=bad)
+
+    @pytest.mark.parametrize("controller, named", [
+        (ControllerConfig(scale=ScaleConfig(d_star={(1, 2): 1.0})), "controller.scale"),
+        (ControllerConfig(k0_int=1.0, k1_int=0.5), "controller.k0_int, controller.k1_int"),
+    ], ids=["scale", "integral"])
+    def test_chain_refuses_laws_it_has_not(self, controller, named):
+        # A chain runs its own law; these settings would be dropped.
+        with pytest.raises(ConfigurationError, match=f"remove {named}"):
+            hexagon_scenario(agents=AgentModel(dynamics="chain"), controller=controller)
 
     def test_sim_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -279,7 +292,8 @@ TEAM_LAWS = {
 
 
 def reference_commands(scenario, gm, states, integrals, rng):
-    """Per-agent laws evaluated in each agent's rotated frame, rotated back.
+    """The per-agent laws of ``reference_laws``, evaluated in each agent's
+    rotated frame and rotated back.
 
     This is the order in which the simulator has always drawn measurement
     noise: agent by agent, positions first, then each derivative order.
@@ -393,11 +407,11 @@ class TestAvoidancePrefilter:
         """Each logged command equals the reference applied to that step's
         unadjusted command; returns how many commands avoidance changed."""
         plain = dataclasses.replace(scenario, avoidance=None)
-        edges = sim_module._edge_arrays(scenario.topologies[0], gains[0], None, 1)
+        command, _, _ = sim_module._build_step(plain)
+        edges = _edge_arrays(scenario.topologies[0], gains[0], None, 1)
         changed = 0
         for k in range(log.t.size):
-            u, _ = sim_module._team_command(plain, edges, log.states[k], None,
-                                            scenario.sim.dt, None)
+            u, _ = command(edges, log.states[k], None, None)
             want = reference_avoidance(u, log.states[k], scenario.avoidance)
             assert np.array_equal(log.commands[k], want)
             changed += int(np.sum(np.any(want != u, axis=1)))
@@ -493,30 +507,28 @@ def hex_switching():
 
 
 def stepwise(scenario, gains):
-    """States and commands of run's step loop, one _team_command,
-    _project_commands and _advance call per step."""
+    """States and commands of a plain per-step loop over the step that run
+    builds: one command, projection and advance per step, each into a new
+    array, with the topology looked up per step."""
     model, cfg, dt = scenario.agents, scenario.controller, scenario.sim.dt
-    chain = model.dynamics == "chain"
-    scale = None if chain else cfg.scale
-    orders = model.chain_order + 1 if chain and cfg.chain_variant == "full_A" else 1
-    edges = [sim_module._edge_arrays(g, gm, scale, orders)
+    full_A = model.dynamics == "chain" and cfg.chain_variant == "full_A"
+    orders = model.chain_order + 1 if full_A else 1
+    edges = [_edge_arrays(g, gm, cfg.scale, orders)
              for g, gm in zip(scenario.topologies, gains)]
+    command, project, advance = sim_module._build_step(scenario)
     integral = None
-    if not chain and scale is None and cfg.k0_int is not None:
-        integral = (np.zeros((6, 2)), None)
     rng = np.random.default_rng(scenario.sim.seed)
     states = sim_module._initial_states(scenario, rng)
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
     states_log, cmds_log = [], []
     for k in range(steps):
         topo = active_topology(scenario.schedule, k * dt)
-        us, next_integral = sim_module._team_command(scenario, edges[topo], states,
-                                                     integral, dt, rng)
-        cmds = sim_module._project_commands(scenario, states, us)
+        us, next_integral = command(edges[topo], states, integral, rng)
+        cmds = project(states, us, np.empty((len(states), 2)))
         states_log.append(states)
         cmds_log.append(cmds)
         if k + 1 < steps:
-            states = sim_module._advance(scenario, states, cmds, dt, None)
+            states = advance(states, cmds, np.empty_like(states))
             integral = next_integral
     return np.array(states_log), np.array(cmds_log)
 
@@ -534,11 +546,18 @@ def switching_scenario(graphs, switching, model, controller):
     )
 
 
-def count_calls(monkeypatch, name):
-    calls = []
-    inner = getattr(sim_module, name)
-    monkeypatch.setattr(sim_module, name, lambda *a: calls.append(1) or inner(*a))
-    return calls
+def count_commands(monkeypatch):
+    """(commands built, commands computed) over the steps run builds."""
+    builds, calls = [], []
+    build = sim_module._command
+
+    def counting(scenario):
+        command = build(scenario)
+        builds.append(1)
+        return lambda *a: calls.append(1) or command(*a)
+
+    monkeypatch.setattr(sim_module, "_command", counting)
+    return builds, calls
 
 
 class TestOneStepMap:
@@ -551,9 +570,11 @@ class TestOneStepMap:
         model, controller = TEAM_LAWS[law]
         scenario = switching_scenario(graphs, switching, model, controller)
         gains = gains[: len(scenario.topologies)]
-        calls = count_calls(monkeypatch, "_team_command")
+        builds, calls = count_commands(monkeypatch)
         log = run(scenario, gains)
-        # Only the probes: one command per unit state and topology.
+        # One step per run, and commands only for its probes: one per unit
+        # state and topology.
+        assert len(builds) == 1
         assert len(calls) == len(gains) * 6 * model.state_dim()
         states, cmds = stepwise(scenario, gains)
         assert log.t.size == 201
@@ -575,9 +596,9 @@ class TestOneStepMap:
     @pytest.mark.parametrize("case", sorted(BYPASS))
     def test_other_runs_keep_the_stage_by_stage_step(self, hex_gains, monkeypatch, case):
         scenario, _ = hexagon_scenario(**{"sim": SimConfig(t_final=2.0), **self.BYPASS[case]})
-        calls = count_calls(monkeypatch, "_team_command")
+        builds, calls = count_commands(monkeypatch)
         log = run(scenario, hex_gains)
-        assert len(calls) == log.t.size
+        assert len(builds) == 1 and len(calls) == log.t.size
         states, cmds = stepwise(scenario, hex_gains)
         assert np.array_equal(log.states, states)
         assert np.array_equal(log.commands, cmds)
@@ -673,7 +694,7 @@ def add_at_consensus(edges, part, n, draws):
 
 
 def add_at_command(scenario, edges, states, rng):
-    """The consensus and chain command of _team_command, summed by np.add.at."""
+    """The consensus and full_A chain command, summed by np.add.at."""
     n, cfg = scenario.formation.n, scenario.controller
     noise = scenario.sim.measurement_noise
     orders, n_edges = edges.draw_rows.shape
@@ -711,18 +732,17 @@ class TestEdgeSum:
         )
         n, dim = scenario.formation.n, model.state_dim()
         orders = model.chain_order + 1 if law == "chain_full_A" else 1
+        command, _, _ = sim_module._build_step(scenario)
         rng = np.random.default_rng([len(name), orders])
         degrees = set()
         for graph in scenario.topologies:
             params = {e: tuple(rng.normal(size=2)) for e in graph.edge_list}
             gm = GainMatrix.from_edge_params(graph, params)
-            edges = sim_module._edge_arrays(graph, gm, None, orders)
+            edges = _edge_arrays(graph, gm, None, orders)
             degrees.update(np.bincount(edges.src).tolist())
             for seed in range(200):
                 states = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, dim))
-                got, _ = sim_module._team_command(
-                    scenario, edges, states, None, 0.01, np.random.default_rng(seed)
-                )
+                got, _ = command(edges, states, None, np.random.default_rng(seed))
                 want = add_at_command(scenario, edges, states, np.random.default_rng(seed))
                 assert got.tobytes() == want.tobytes()
         if name == "switching9":
