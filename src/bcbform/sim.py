@@ -2,15 +2,17 @@
 
 One engine covers all dynamics classes.  ``run`` builds the step once, with
 the configuration bound: the command (the laws of ``controllers`` on the
-sensing edges of each topology, held as arrays, then avoidance per agent),
-the projection and saturation of the dynamics class, and one classical RK4
-step of the (n, state_dim) state under zero-order-hold commands.  Each time
-step then calls those three on the whole team.  When the step is linear in
-the team state, it is probed once per topology into its one-step matrix and
-applied as one matrix-vector product per step.  The metrics are computed
-once from the stored log.  Per-agent measurement frames
-(``Scenario.frame_angles``) do not enter the step: the blocks a*I + b*K
-commute with every rotation, so no common orientation is needed.
+sensing edges of each topology, held as arrays), avoidance per agent, the
+projection and saturation of the dynamics class, and one classical RK4 step
+of the (n, state_dim) state under zero-order-hold commands.  Each time step
+then calls those pieces on the whole team.  When the law's step is linear
+in the team state, it is probed once per topology into its one-step matrix
+and applied as one matrix-vector product per step; with avoidance, only on
+the steps where no pair of agents is within d_c, the others running the
+pieces.  The metrics are computed once from the stored log.  Per-agent
+measurement frames (``Scenario.frame_angles``) do not enter the step: the
+blocks a*I + b*K commute with every rotation, so no common orientation is
+needed.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ from .geometry import (
 )
 
 DYNAMICS_CLASSES = ("single_integrator", "chain", "unicycle", "car")
+# Projection settings each dynamics class never reads: holonomic agents
+# saturate the planar command (u_max), vehicles their speed and turn rate,
+# and only a car steers (phi_max).
+_UNREAD_SETTINGS = {
+    "single_integrator": ("v_max", "omega_max", "phi_max", "k_s"),
+    "chain": ("v_max", "omega_max", "phi_max", "k_s"),
+    "unicycle": ("u_max", "phi_max"),
+    "car": ("u_max",),
+}
 
 CONVERGENCE_THRESHOLD = 1e-3
 CONVERGENCE_SUSTAIN = 1.0  # seconds below threshold before declaring success
@@ -165,6 +176,18 @@ class Scenario:
                 raise ConfigurationError(
                     f"chain dynamics have no scale or integral law; remove {', '.join(unused)}"
                 )
+        unread = [f"controller.{name}" for name in _UNREAD_SETTINGS[model.dynamics]
+                  if getattr(cfg, name) is not None]
+        if unread:
+            raise ConfigurationError(
+                f"{model.dynamics} dynamics never read these settings; "
+                f"remove {', '.join(unread)}"
+            )
+        if model.dynamics == "chain" and len(cfg.k_chain) != model.chain_order + 1:
+            raise ConfigurationError(
+                f"controller.k_chain has {len(cfg.k_chain)} gains; agents.chain_order "
+                f"{model.chain_order} needs {model.chain_order + 1}, one per state level"
+            )
         vehicle = model.dynamics in ("unicycle", "car")
         if vehicle and not model.kinematic_only and model.actuators is None:
             raise ConfigurationError(
@@ -235,18 +258,22 @@ def _initial_states(scenario: Scenario, rng: np.random.Generator) -> NDArray[np.
 
 def _build_step(scenario: Scenario):
     """One time step with the configuration bound, built once per run, as
-    (command, project, advance).  ``command(edges, states, integral, rng)``
-    gives the (n, 2) planar commands and the integral law's next state;
-    ``project(states, us, out)`` writes the inputs of the agents' dynamics
-    into ``out``; ``advance(states, cmds, out)`` writes the RK4 step into
-    ``out``.  Map-stepped runs probe the same step for their maps."""
-    return _command(scenario), _projection(scenario), _rk4_advance(scenario)
+    (command, avoid, project, advance).  ``command(edges, states, integral,
+    rng)`` gives the law's (n, 2) planar commands and the integral law's next
+    state; ``avoid(positions, us, near)`` applies avoidance to ``us`` in
+    place, given this step's ``activation_candidates`` mask, and is None
+    without avoidance; ``project(states, us, out)`` writes the inputs of the
+    agents' dynamics into ``out``; ``advance(states, cmds, out)`` writes the
+    RK4 step into ``out``.  Map-stepped runs probe command, project and
+    advance of this same step for their maps."""
+    return (_command(scenario), _avoidance(scenario), _projection(scenario),
+            _rk4_advance(scenario))
 
 
 def _command(scenario: Scenario):
     """The law the configuration selects (the chain law of its variant, else
     the scale or the integral law, else consensus) on this step's
-    measurements, then the perturbation, then avoidance."""
+    measurements, then the perturbation."""
     cfg, model, dt = scenario.controller, scenario.agents, scenario.sim.dt
     if model.dynamics == "chain":
         chain = ctl.chain_full_a if cfg.chain_variant == "full_A" else ctl.chain_identity
@@ -279,24 +306,38 @@ def _command(scenario: Scenario):
             u, integral = unperturbed(edges, states, integral, rng)
             return perturb(u, c, alpha), integral
 
-    avoidance = scenario.avoidance
-    if avoidance is not None:
-        unadjusted = command
-
-        # Avoidance sees every other agent's position, not just sensing-graph
-        # neighbors.  An agent with no other agent within d_c gets no cone,
-        # and adjust_control returns its command unchanged, so only the
-        # candidates are visited; u is this step's own array.
-        def command(edges, states, integral, rng):
-            u, integral = unadjusted(edges, states, integral, rng)
-            positions = states[:, :2]
-            near = activation_candidates(positions, avoidance)
-            for i in np.flatnonzero(near.any(axis=1)):
-                cones = build_cones(positions[i], positions[near[i]], avoidance)
-                u[i] = adjust_control(u[i], cones, avoidance)
-            return u, integral
-
     return command
+
+
+def _avoidance(scenario: Scenario):
+    """Avoidance after the law, or None without it.
+
+    Avoidance sees every other agent's position, not just sensing-graph
+    neighbors.  An agent with no other agent within d_c gets no cone, and
+    adjust_control returns its command unchanged, so only the candidates of
+    ``near`` are visited; ``us`` is the step's own array."""
+    cfg = scenario.avoidance
+    if cfg is None:
+        return None
+
+    def avoid(positions, us, near):
+        for i in np.flatnonzero(near.any(axis=1)):
+            cones = build_cones(positions[i], positions[near[i]], cfg)
+            us[i] = adjust_control(us[i], cones, cfg)
+        return us
+
+    return avoid
+
+
+def _avoiding(command, avoid, cfg: AvoidanceConfig):
+    """``command`` followed by ``avoid`` on the step's candidates."""
+
+    def avoiding(edges, states, integral, rng):
+        us, integral = command(edges, states, integral, rng)
+        positions = states[:, :2]
+        return avoid(positions, us, activation_candidates(positions, cfg)), integral
+
+    return avoiding
 
 
 def _projection(scenario: Scenario):
@@ -407,8 +448,9 @@ def _rk4_advance(scenario: Scenario):
 def _one_step_map(step, edges: ctl._EdgeArrays, n: int, dim: int):
     """(T, F) of a loop that is linear in the stacked team state x: one step
     takes x to T x and logs the command F x.  Column j is the step taken
-    from the j-th unit state, so T and F are the step the simulator applies."""
-    command, project, advance = step
+    from the j-th unit state, so T and F are the step the simulator applies
+    where avoidance leaves the law's command alone."""
+    command, _, project, advance = step
     T = np.empty((n * dim, n * dim))
     F = np.empty((2 * n, n * dim))
     cmds, after = np.empty((n, 2)), np.empty((n, dim))
@@ -529,11 +571,11 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
         and cfg.perturbation is None
         and not integral_law
     )
-    # Without avoidance, saturation, the scale and integral laws and noise,
-    # the step is linear in the team state: it is stepped by its matrix.
+    # Without saturation, the scale and integral laws and noise, the law's
+    # step is linear in the team state: it is stepped by its matrix, on
+    # avoidance runs wherever no pair of agents is within d_c.
     by_map = (
         model.dynamics in ("single_integrator", "chain")
-        and scenario.avoidance is None
         and cfg.u_max is None
         and cfg.scale is None
         and not integral_law
@@ -557,8 +599,12 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     ]
     dim = model.state_dim()
     step = _build_step(scenario)
+    command, avoid, project, advance = step
     maps = [_one_step_map(step, e, n, dim) for e in edges] if by_map else None
-    for k, (T, _) in enumerate(maps or ()):
+    # Avoidance runs keep the bound above: the map is their step only while
+    # no cone is active, and whether one is at the reached formation depends
+    # on the scale it converges to.
+    for k, (T, _) in enumerate(maps if maps and avoid is None else ()):
         radius = _map_radius(T, basis, full_A)
         if radius >= 1.0:
             raise ConfigurationError(
@@ -575,19 +621,36 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     cmds_log = np.zeros((steps, n, 2))
     topo_log = _topology_indices(scenario.schedule, t_arr)
 
-    if maps is not None:
-        X = states_log.reshape(steps, -1)
-        X[0] = states.ravel()
+    # Each step reads its state from the log and writes the next one there.
+    states_log[0] = states
+    X, U = states_log.reshape(steps, -1), cmds_log.reshape(steps, -1)
+    if maps is not None and avoid is None:
         for first, end in _stretches(topo_log):
             T, F = maps[topo_log[first]]
             for k in range(first, min(end, steps - 1)):
                 np.matmul(T, X[k], out=X[k + 1])
-            np.matmul(X[first:end], F.T, out=cmds_log.reshape(steps, -1)[first:end])
+            np.matmul(X[first:end], F.T, out=U[first:end])
+    elif maps is not None:
+        # A step with no pair within d_c is the law's: it takes the map.
+        # Any other runs law, avoidance on the same mask, projection and RK4.
+        for k, topo_idx in enumerate(topo_log.tolist()):
+            states = states_log[k]
+            positions = states[:, :2]
+            near = activation_candidates(positions, scenario.avoidance)
+            if near.any():
+                us, _ = command(edges[topo_idx], states, None, rng)
+                project(states, avoid(positions, us, near), cmds_log[k])
+                if k + 1 < steps:
+                    advance(states, cmds_log[k], states_log[k + 1])
+            else:
+                T, F = maps[topo_idx]
+                np.matmul(F, X[k], out=U[k])
+                if k + 1 < steps:
+                    np.matmul(T, X[k], out=X[k + 1])
     else:
-        # Each step reads its state from the log and writes the next one
-        # there.  The integral law's state is None before the first step.
-        states_log[0] = states
-        command, project, advance = step
+        if avoid is not None:
+            command = _avoiding(command, avoid, scenario.avoidance)
+        # The integral law's state is None before the first step.
         integral = None
         for k, topo_idx in enumerate(topo_log.tolist()):
             states = states_log[k]

@@ -151,13 +151,40 @@ MALFORMED = {
         "scenario", lambda d: (d["agents"].update(dynamics="chain"),
                                d["controller"].update(k0_int=1.0, k1_int=0.5)),
         "remove controller.k0_int, controller.k1_int"),
+    "short_k_chain": (
+        "scenario", lambda d: d["agents"].update(dynamics="chain"),
+        "controller.k_chain has 1 gains; agents.chain_order 3 needs 4"),
+    "v_max_on_single_integrator": (
+        "scenario", lambda d: d["controller"].update(v_max=3.0),
+        "single_integrator dynamics never read these settings; remove controller.v_max"),
+    "omega_max_and_phi_max_on_single_integrator": (
+        "scenario", lambda d: d["controller"].update(omega_max=0.7, phi_max=0.5),
+        "remove controller.omega_max, controller.phi_max"),
+    "k_s_on_chain": (
+        "scenario", lambda d: (d["agents"].update(dynamics="chain", chain_order=1),
+                               d["controller"].update(k_chain=[1.0, 2.0], k_s=5.0)),
+        "chain dynamics never read these settings; remove controller.k_s"),
+    "u_max_on_unicycle": (
+        "scenario", lambda d: (d["agents"].update(dynamics="unicycle"),
+                               d["controller"].update(u_max=1.0)),
+        "unicycle dynamics never read these settings; remove controller.u_max"),
+    "phi_max_on_unicycle": (
+        "scenario", lambda d: (d["agents"].update(dynamics="unicycle"),
+                               d["controller"].update(phi_max=0.5)),
+        "unicycle dynamics never read these settings; remove controller.phi_max"),
+    "u_max_on_car": (
+        "scenario", lambda d: (d["agents"].update(dynamics="car"),
+                               d["controller"].update(u_max=1.0)),
+        "car dynamics never read these settings; remove controller.u_max"),
 }
 
 # Controller settings that a run would drop without a word.
 DROPPED_SETTINGS = [
     "k0_int_without_k1_int", "k1_int_without_k0_int", "negative_k0_int_alone",
     "zero_k0_int", "scale_with_integral_gains", "chain_with_scale",
-    "chain_with_integral_gains",
+    "chain_with_integral_gains", "v_max_on_single_integrator",
+    "omega_max_and_phi_max_on_single_integrator", "k_s_on_chain", "u_max_on_unicycle",
+    "phi_max_on_unicycle", "u_max_on_car",
 ]
 
 
@@ -195,7 +222,7 @@ def assert_refused_before_stepping(workdir, capsys, mutate, named):
 @pytest.mark.parametrize("case", [
     "two_actuator_rows_for_three_agents", "two_perturbation_gains_for_three_agents",
     "two_frame_angles_for_three_agents", "unknown_drive", "misspelt_actuator_mode",
-    "velocity_feedback_without_k_s", "dynamic_car_without_actuators",
+    "velocity_feedback_without_k_s", "dynamic_car_without_actuators", "short_k_chain",
 ])
 def test_vehicle_and_per_agent_errors_refused_before_stepping(workdir, capsys, case):
     _, mutate, named = MALFORMED[case]

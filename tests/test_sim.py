@@ -117,6 +117,28 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=f"remove {named}"):
             hexagon_scenario(agents=AgentModel(dynamics="chain"), controller=controller)
 
+    @pytest.mark.parametrize("k_chain", [(1.0,), (1.0, 4.0, 6.0), (1.0, 4.0, 6.0, 4.0, 1.0)])
+    def test_chain_refuses_gains_of_the_wrong_length(self, k_chain):
+        # The root check covers only the polynomial of the gains' length.
+        with pytest.raises(ConfigurationError, match=(
+                f"controller.k_chain has {len(k_chain)} gains; "
+                "agents.chain_order 3 needs 4")):
+            hexagon_scenario(agents=AgentModel(dynamics="chain"),
+                             controller=ControllerConfig(k_chain=k_chain))
+
+    @pytest.mark.parametrize("dynamics, setting", [
+        ("single_integrator", "v_max"), ("single_integrator", "omega_max"),
+        ("single_integrator", "phi_max"), ("single_integrator", "k_s"),
+        ("chain", "v_max"), ("chain", "phi_max"), ("unicycle", "u_max"),
+        ("unicycle", "phi_max"), ("car", "u_max"),
+    ])
+    def test_refuses_projection_settings_its_dynamics_never_read(self, dynamics, setting):
+        controller = ControllerConfig(k_chain=CHAIN_K, **{setting: 0.5})
+        with pytest.raises(ConfigurationError, match=(
+                f"{dynamics} dynamics never read these settings; "
+                f"remove controller.{setting}$")):
+            hexagon_scenario(agents=AgentModel(dynamics=dynamics), controller=controller)
+
     def test_sim_config_validation(self):
         with pytest.raises(ConfigurationError):
             SimConfig(dt=0.0)
@@ -405,15 +427,19 @@ class TestAvoidancePrefilter:
 
     def check_steps(self, scenario, gains, log):
         """Each logged command equals the reference applied to that step's
-        unadjusted command; returns how many commands avoidance changed."""
-        plain = dataclasses.replace(scenario, avoidance=None)
-        command, _, _ = sim_module._build_step(plain)
+        unadjusted command: bitwise on steps with candidates, which run the
+        law, and to 1e-12 on the others, which take the one-step map.
+        Returns how many commands avoidance changed."""
+        command, _, _, _ = sim_module._build_step(scenario)
         edges = _edge_arrays(scenario.topologies[0], gains[0], None, 1)
         changed = 0
         for k in range(log.t.size):
             u, _ = command(edges, log.states[k], None, None)
             want = reference_avoidance(u, log.states[k], scenario.avoidance)
-            assert np.array_equal(log.commands[k], want)
+            if activation_candidates(log.states[k], scenario.avoidance).any():
+                assert np.array_equal(log.commands[k], want)
+            else:
+                assert np.max(np.abs(log.commands[k] - want)) <= 1e-12
             changed += int(np.sum(np.any(want != u, axis=1)))
         return changed
 
@@ -506,16 +532,33 @@ def hex_switching():
     return graphs, [design_gains(g, spec)[0] for g in graphs]
 
 
-def stepwise(scenario, gains):
-    """States and commands of a plain per-step loop over the step that run
-    builds: one command, projection and advance per step, each into a new
-    array, with the topology looked up per step."""
-    model, cfg, dt = scenario.agents, scenario.controller, scenario.sim.dt
+def stepwise_pieces(scenario, gains):
+    """(commands, advance) of the step that run builds: ``commands(topo,
+    states, integral, rng)`` runs the law, avoidance and projection into a
+    new array and also returns the integral law's next state."""
+    model, cfg = scenario.agents, scenario.controller
     full_A = model.dynamics == "chain" and cfg.chain_variant == "full_A"
     orders = model.chain_order + 1 if full_A else 1
     edges = [_edge_arrays(g, gm, cfg.scale, orders)
              for g, gm in zip(scenario.topologies, gains)]
-    command, project, advance = sim_module._build_step(scenario)
+    command, avoid, project, advance = sim_module._build_step(scenario)
+
+    def commands(topo, states, integral, rng):
+        us, next_integral = command(edges[topo], states, integral, rng)
+        if avoid is not None:
+            positions = states[:, :2]
+            avoid(positions, us, activation_candidates(positions, scenario.avoidance))
+        return project(states, us, np.empty((len(states), 2))), next_integral
+
+    return commands, advance
+
+
+def stepwise(scenario, gains):
+    """States and commands of a plain per-step loop over the step that run
+    builds: one command, avoidance, projection and advance per step, each
+    into a new array, with the topology looked up per step."""
+    dt = scenario.sim.dt
+    commands, advance = stepwise_pieces(scenario, gains)
     integral = None
     rng = np.random.default_rng(scenario.sim.seed)
     states = sim_module._initial_states(scenario, rng)
@@ -523,8 +566,7 @@ def stepwise(scenario, gains):
     states_log, cmds_log = [], []
     for k in range(steps):
         topo = active_topology(scenario.schedule, k * dt)
-        us, next_integral = command(edges[topo], states, integral, rng)
-        cmds = project(states, us, np.empty((len(states), 2)))
+        cmds, next_integral = commands(topo, states, integral, rng)
         states_log.append(states)
         cmds_log.append(cmds)
         if k + 1 < steps:
@@ -584,7 +626,9 @@ class TestOneStepMap:
             assert set(log.topology_index.tolist()) == {0, 1}
 
     BYPASS = {
-        "avoidance": dict(avoidance=AvoidanceConfig(r=0.1, d_c=0.25, margin=0.01)),
+        "u_max_avoidance": dict(avoidance=AVOID, controller=ControllerConfig(u_max=0.5),
+                                sim=SimConfig(t_final=2.0, init=InitSpec(low=(-1, -1),
+                                                                         high=(1, 1)))),
         "u_max": dict(controller=ControllerConfig(u_max=0.5)),
         "scale": dict(controller=TEAM_LAWS["scale"][1]),
         "integral": dict(controller=TEAM_LAWS["integral"][1]),
@@ -602,6 +646,55 @@ class TestOneStepMap:
         states, cmds = stepwise(scenario, hex_gains)
         assert np.array_equal(log.states, states)
         assert np.array_equal(log.commands, cmds)
+
+    def check_cone_steps(self, scenario, gains, monkeypatch):
+        """Run ``scenario``: the law runs on the steps with candidates and in
+        the probes, and nowhere else.  States and the map steps' commands
+        match ``stepwise`` to 1e-12.  A cone step's command is bitwise the
+        step's own on its logged state: against ``stepwise`` the cone rule's
+        arcsin can amplify a 1e-14 state difference past 1e-12.  Returns
+        how many steps had candidates."""
+        builds, calls = count_commands(monkeypatch)
+        log = run(scenario, gains)
+        cone = np.array([activation_candidates(p, scenario.avoidance).any()
+                         for p in log.positions()])
+        assert len(builds) == 1
+        n, dim = scenario.formation.n, scenario.agents.state_dim()
+        assert len(calls) == cone.sum() + len(gains) * n * dim
+        states, cmds = stepwise(scenario, gains)
+        assert np.max(np.abs(log.states - states)) <= 1e-12
+        assert np.max(np.abs(log.commands[~cone] - cmds[~cone])) <= 1e-12
+        commands, _ = stepwise_pieces(scenario, gains)
+        for k in np.flatnonzero(cone):
+            want, _ = commands(log.topology_index[k], log.states[k], None, None)
+            assert want.tobytes() == log.commands[k].tobytes()
+        return int(cone.sum())
+
+    def test_avoidance_takes_the_map_between_cone_steps(self, hex_gains, monkeypatch):
+        scenario, _ = hexagon_scenario(avoidance=AVOID, sim=SimConfig(
+            t_final=2.0, init=InitSpec(low=(-1, -1), high=(1, 1))))
+        assert 0 < self.check_cone_steps(scenario, hex_gains, monkeypatch) < 201
+
+    @pytest.mark.parametrize("switching", [False, True], ids=["fixed", "switching"])
+    @pytest.mark.parametrize("law", ("perturbation", "chain_identity", "chain_full_A"))
+    def test_avoidance_with_other_linear_laws(self, hex_switching, monkeypatch, law,
+                                              switching):
+        graphs, gains = hex_switching
+        model, controller = TEAM_LAWS[law]
+        scenario = dataclasses.replace(
+            switching_scenario(graphs, switching, model, controller),
+            avoidance=AvoidanceConfig(r=0.2, d_c=0.6, margin=0.01),
+        )
+        gains = gains[: len(scenario.topologies)]
+        assert 0 < self.check_cone_steps(scenario, gains, monkeypatch) < 201
+
+    def test_avoidance_never_engaged_is_the_plain_map_run(self, hex_gains):
+        scenario, _ = hexagon_scenario(avoidance=AVOID, sim=SimConfig(t_final=2.0))
+        log = run(scenario, hex_gains)
+        assert not any(activation_candidates(p, AVOID).any() for p in log.positions())
+        plain = run(dataclasses.replace(scenario, avoidance=None), hex_gains)
+        assert np.array_equal(log.states, plain.states)
+        assert np.max(np.abs(log.commands - plain.commands)) <= 1e-12
 
 
 def bisect_bound(radius, lo, hi):
@@ -732,7 +825,7 @@ class TestEdgeSum:
         )
         n, dim = scenario.formation.n, model.state_dim()
         orders = model.chain_order + 1 if law == "chain_full_A" else 1
-        command, _, _ = sim_module._build_step(scenario)
+        command, _, _, _ = sim_module._build_step(scenario)
         rng = np.random.default_rng([len(name), orders])
         degrees = set()
         for graph in scenario.topologies:
