@@ -46,19 +46,23 @@ class AvoidanceConfig:
 
 
 def activation_candidates(positions, cfg: AvoidanceConfig) -> NDArray[np.bool_]:
-    """(n, n) mask of the pairs (i, j), i != j, that ``build_cones`` may keep.
+    """(..., n, n) mask of the pairs (i, j), i != j, that ``build_cones`` may
+    keep, for each (n, 2) set of positions of a stack shaped (..., n, 2).
 
     A pair is left out only when its squared distance exceeds d_c squared
     with a relative slack of 1e-9 on d_c, which covers the rounding between
     squaring and ``build_cones``' own norm test.  Every pair the mask leaves
     out is one ``build_cones`` would skip; the pairs it keeps still go
-    through that exact test.
+    through that exact test.  Each state of a stack gets, bitwise, the mask
+    it gets alone, so the simulator tests a block of states with one call.
+    A NaN coordinate keeps its agent's pairs in the mask.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[None, :, :] - positions[:, None, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    n = positions.shape[-2]
+    diff = positions[..., None, :, :] - positions[..., :, None, :]
+    dist_sq = np.einsum("...ijk,...ijk->...ij", diff, diff)
     near = ~(dist_sq > (cfg.d_c * (1.0 + 1e-9)) ** 2)
-    np.fill_diagonal(near, False)
+    near.reshape(near.shape[:-2] + (n * n,))[..., :: n + 1] = False
     return near
 
 

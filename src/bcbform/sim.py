@@ -9,7 +9,10 @@ then calls those pieces on the whole team.  When the law's step is linear
 in the team state, it is probed once per topology into its one-step matrix
 and applied as one matrix-vector product per step; with avoidance, only on
 the steps where no pair of agents is within d_c, the others running the
-pieces.  The metrics are computed once from the stored log.  Per-agent
+pieces.  Such runs go in blocks of steps: one stacked product logs a
+block's commands, and with avoidance one stacked candidate test finds the
+first step of the block that needs the pieces (``_map_steps``).  The
+metrics are computed once from the stored log.  Per-agent
 measurement frames (``Scenario.frame_angles``) do not enter the step: the
 blocks a*I + b*K commute with every rotation, so no common orientation is
 needed.
@@ -55,20 +58,31 @@ from .geometry import (
 )
 
 DYNAMICS_CLASSES = ("single_integrator", "chain", "unicycle", "car")
-# Projection settings each dynamics class never reads: holonomic agents
+# Controller settings each dynamics class never reads: holonomic agents
 # saturate the planar command (u_max), vehicles their speed and turn rate,
-# and only a car steers (phi_max).
+# only a car steers (phi_max), and only chains run the chain law (k_chain,
+# chain_variant).  Kinematic vehicles have no actuators, so they also never
+# read the actuator law (_KINEMATIC_UNREAD).  A setting is refused when it
+# differs from its default: scenario files name every field.
 _UNREAD_SETTINGS = {
-    "single_integrator": ("v_max", "omega_max", "phi_max", "k_s"),
+    "single_integrator": ("v_max", "omega_max", "phi_max", "k_s", "k_chain",
+                          "chain_variant"),
     "chain": ("v_max", "omega_max", "phi_max", "k_s"),
-    "unicycle": ("u_max", "phi_max"),
-    "car": ("u_max",),
+    "unicycle": ("u_max", "phi_max", "k_chain", "chain_variant"),
+    "car": ("u_max", "k_chain", "chain_variant"),
 }
+_KINEMATIC_UNREAD = ("k_s", "actuator_mode")
+_CONTROLLER_DEFAULTS = ControllerConfig()
 
 CONVERGENCE_THRESHOLD = 1e-3
 CONVERGENCE_SUSTAIN = 1.0  # seconds below threshold before declaring success
 MONITOR_REL_TOL = 1e-7  # Lyapunov monitor slack, relative to the first value
 CSV_BLOCK_ROWS = 64  # log rows formatted per write
+# Map-stepped avoidance runs test blocks of states for candidate pairs.  A
+# block grows only after this many clean single steps in a row: on a
+# cone-dense run, blocks cut short by near passes cost more than they save.
+BLOCK_STREAK = 8
+BLOCK_CAP = 64  # most states a block steps ahead
 
 
 @dataclass(frozen=True)
@@ -176,19 +190,21 @@ class Scenario:
                 raise ConfigurationError(
                     f"chain dynamics have no scale or integral law; remove {', '.join(unused)}"
                 )
-        unread = [f"controller.{name}" for name in _UNREAD_SETTINGS[model.dynamics]
-                  if getattr(cfg, name) is not None]
+        vehicle = model.dynamics in ("unicycle", "car")
+        kinematic = vehicle and model.kinematic_only
+        names = _UNREAD_SETTINGS[model.dynamics] + (_KINEMATIC_UNREAD if kinematic else ())
+        unread = [f"controller.{name}" for name in names if not np.array_equal(
+            getattr(cfg, name), getattr(_CONTROLLER_DEFAULTS, name))]
         if unread:
             raise ConfigurationError(
-                f"{model.dynamics} dynamics never read these settings; "
-                f"remove {', '.join(unread)}"
+                f"{'kinematic ' if kinematic else ''}{model.dynamics} dynamics never read "
+                f"these settings; remove {', '.join(unread)}"
             )
         if model.dynamics == "chain" and len(cfg.k_chain) != model.chain_order + 1:
             raise ConfigurationError(
                 f"controller.k_chain has {len(cfg.k_chain)} gains; agents.chain_order "
                 f"{model.chain_order} needs {model.chain_order + 1}, one per state level"
             )
-        vehicle = model.dynamics in ("unicycle", "car")
         if vehicle and not model.kinematic_only and model.actuators is None:
             raise ConfigurationError(
                 f"a dynamic {model.dynamics} (kinematic_only false) needs agents.actuators"
@@ -338,6 +354,23 @@ def _avoiding(command, avoid, cfg: AvoidanceConfig):
         return avoid(positions, us, activation_candidates(positions, cfg)), integral
 
     return avoiding
+
+
+def _cone_step(step, edges, states_log, cmds_log):
+    """``cone_step(k, topo_idx, near)``: step k of a map-stepped avoidance
+    run taken by the law, avoidance on the candidates ``near`` of its state,
+    projection and RK4, from and into the logs."""
+    command, avoid, project, advance = step
+    steps = len(states_log)
+
+    def cone_step(k, topo_idx, near):
+        states = states_log[k]
+        us, _ = command(edges[topo_idx], states, None, None)
+        project(states, avoid(states[:, :2], us, near), cmds_log[k])
+        if k + 1 < steps:
+            advance(states, cmds_log[k], states_log[k + 1])
+
+    return cone_step
 
 
 def _projection(scenario: Scenario):
@@ -497,6 +530,66 @@ def _stretches(topo: NDArray[np.int64]):
     return zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(topo)].tolist())
 
 
+def _map_steps(states_log, cmds_log, topo_log, maps, cfg, cone_step):
+    """Advance a map-stepped run through the logs, whose first state is set.
+
+    A stretch of constant topology k is taken in blocks.  A block from step
+    a steps its states by x+ = T_k x, one product per step, and logs their
+    commands F_k x with one stacked product, bitwise the per-step F_k @ x.
+    Without avoidance (``cfg`` None) a block is the whole stretch.  With
+    it, one ``activation_candidates`` call tests the block's states; the
+    block keeps the states up to the first with a candidate pair, and
+    ``cone_step(k, topo_idx, near)`` takes that step.  A block holds one
+    state until BLOCK_STREAK clean ones in a row, then doubles after each
+    clean block up to BLOCK_CAP; a cone step sets it back to one state.
+    Rows stepped past a state with a candidate are overwritten by the steps
+    that follow it, so every state is the one a per-step loop gives."""
+    steps = len(states_log)
+    X, U = states_log.reshape(steps, -1), cmds_log.reshape(steps, -1)
+    size, streak = 1, 0
+    for first, end in _stretches(topo_log):
+        T, F = maps[topo_log[first]]
+        a = first
+        while a < end:
+            b = end if cfg is None else min(a + size, end)
+            for k in range(a, b - 1):
+                np.matmul(T, X[k], out=X[k + 1])
+            cone = b
+            if cfg is not None:
+                near = activation_candidates(states_log[a:b, :, :2], cfg)
+                hits = np.flatnonzero(near.any(axis=(1, 2)))
+                if hits.size:
+                    cone = a + int(hits[0])
+            if cone == b and b < steps:
+                np.matmul(T, X[b - 1], out=X[b])
+            if cone > a:
+                np.matmul(F, X[a:cone, :, None], out=U[a:cone, :, None])
+            if cone < b:
+                cone_step(cone, topo_log[first], near[cone - a])
+                size, streak = 1, 0
+                a = cone + 1
+            else:
+                streak += 1
+                if streak >= BLOCK_STREAK:
+                    size = min(2 * size, BLOCK_CAP)
+                a = b
+
+
+def _stage_steps(command, project, advance, edges, topo_log, states_log, cmds_log, rng):
+    """Advance a run through the logs, whose first state is set, one step at
+    a time: the command, its projection and the RK4 step."""
+    steps = len(states_log)
+    # The integral law's state is None before the first step.
+    integral = None
+    for k, topo_idx in enumerate(topo_log.tolist()):
+        states = states_log[k]
+        us, next_integral = command(edges[topo_idx], states, integral, rng)
+        project(states, us, cmds_log[k])
+        if k + 1 < steps:
+            advance(states, cmds_log[k], states_log[k + 1])
+            integral = next_integral
+
+
 def _convergence_time(t: NDArray[np.float64], err: NDArray[np.float64], threshold: float):
     """Start of the first stretch of steps with ``err < threshold`` whose
     last step is at least CONVERGENCE_SUSTAIN after its first, else None."""
@@ -623,42 +716,15 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
 
     # Each step reads its state from the log and writes the next one there.
     states_log[0] = states
-    X, U = states_log.reshape(steps, -1), cmds_log.reshape(steps, -1)
-    if maps is not None and avoid is None:
-        for first, end in _stretches(topo_log):
-            T, F = maps[topo_log[first]]
-            for k in range(first, min(end, steps - 1)):
-                np.matmul(T, X[k], out=X[k + 1])
-            np.matmul(X[first:end], F.T, out=U[first:end])
-    elif maps is not None:
+    if maps is not None:
         # A step with no pair within d_c is the law's: it takes the map.
-        # Any other runs law, avoidance on the same mask, projection and RK4.
-        for k, topo_idx in enumerate(topo_log.tolist()):
-            states = states_log[k]
-            positions = states[:, :2]
-            near = activation_candidates(positions, scenario.avoidance)
-            if near.any():
-                us, _ = command(edges[topo_idx], states, None, rng)
-                project(states, avoid(positions, us, near), cmds_log[k])
-                if k + 1 < steps:
-                    advance(states, cmds_log[k], states_log[k + 1])
-            else:
-                T, F = maps[topo_idx]
-                np.matmul(F, X[k], out=U[k])
-                if k + 1 < steps:
-                    np.matmul(T, X[k], out=X[k + 1])
+        # Any other runs law, avoidance, projection and RK4.
+        cone_step = None if avoid is None else _cone_step(step, edges, states_log, cmds_log)
+        _map_steps(states_log, cmds_log, topo_log, maps, scenario.avoidance, cone_step)
     else:
         if avoid is not None:
             command = _avoiding(command, avoid, scenario.avoidance)
-        # The integral law's state is None before the first step.
-        integral = None
-        for k, topo_idx in enumerate(topo_log.tolist()):
-            states = states_log[k]
-            us, next_integral = command(edges[topo_idx], states, integral, rng)
-            project(states, us, cmds_log[k])
-            if k + 1 < steps:
-                advance(states, cmds_log[k], states_log[k + 1])
-                integral = next_integral
+        _stage_steps(command, project, advance, edges, topo_log, states_log, cmds_log, rng)
 
     positions = states_log[:, :, :2]
     q = positions.reshape(steps, -1)

@@ -176,6 +176,24 @@ MALFORMED = {
         "scenario", lambda d: (d["agents"].update(dynamics="car"),
                                d["controller"].update(u_max=1.0)),
         "car dynamics never read these settings; remove controller.u_max"),
+    "actuator_law_on_kinematic_unicycle": (
+        "scenario", lambda d: (d["agents"].update(dynamics="unicycle"), d["controller"].update(
+            actuator_mode="velocity_feedback", k_s=5.0)),
+        "kinematic unicycle dynamics never read these settings; "
+        "remove controller.k_s, controller.actuator_mode"),
+    "k_s_on_kinematic_car": (
+        "scenario", lambda d: (d["agents"].update(dynamics="car"),
+                               d["controller"].update(k_s=5.0)),
+        "kinematic car dynamics never read these settings; remove controller.k_s"),
+    "chain_law_on_single_integrator": (
+        "scenario", lambda d: d["controller"].update(k_chain=[5.0, 1.0],
+                                                     chain_variant="full_A"),
+        "single_integrator dynamics never read these settings; "
+        "remove controller.k_chain, controller.chain_variant"),
+    "chain_variant_on_unicycle": (
+        "scenario", lambda d: (d["agents"].update(dynamics="unicycle"),
+                               d["controller"].update(chain_variant="full_A")),
+        "unicycle dynamics never read these settings; remove controller.chain_variant"),
 }
 
 # Controller settings that a run would drop without a word.
@@ -184,7 +202,8 @@ DROPPED_SETTINGS = [
     "zero_k0_int", "scale_with_integral_gains", "chain_with_scale",
     "chain_with_integral_gains", "v_max_on_single_integrator",
     "omega_max_and_phi_max_on_single_integrator", "k_s_on_chain", "u_max_on_unicycle",
-    "phi_max_on_unicycle", "u_max_on_car",
+    "phi_max_on_unicycle", "u_max_on_car", "actuator_law_on_kinematic_unicycle",
+    "k_s_on_kinematic_car", "chain_law_on_single_integrator", "chain_variant_on_unicycle",
 ]
 
 

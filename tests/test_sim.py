@@ -133,11 +133,20 @@ class TestScenarioValidation:
         ("unicycle", "phi_max"), ("car", "u_max"),
     ])
     def test_refuses_projection_settings_its_dynamics_never_read(self, dynamics, setting):
-        controller = ControllerConfig(k_chain=CHAIN_K, **{setting: 0.5})
+        chain = {"k_chain": CHAIN_K} if dynamics == "chain" else {}
+        controller = ControllerConfig(**chain, **{setting: 0.5})
         with pytest.raises(ConfigurationError, match=(
                 f"{dynamics} dynamics never read these settings; "
                 f"remove controller.{setting}$")):
             hexagon_scenario(agents=AgentModel(dynamics=dynamics), controller=controller)
+
+    @pytest.mark.parametrize("agents", [AgentModel(), AgentModel(dynamics="unicycle")],
+                             ids=["single_integrator", "kinematic_unicycle"])
+    @pytest.mark.parametrize("k_chain", [[1.0], np.array([1.0])], ids=["list", "array"])
+    def test_default_chain_and_actuator_settings_load_anywhere(self, agents, k_chain):
+        # Scenario files name every field, so defaults are never refused.
+        hexagon_scenario(agents=agents, controller=ControllerConfig(
+            k_chain=k_chain, chain_variant="identity_derivatives", actuator_mode="direct"))
 
     def test_sim_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -401,6 +410,14 @@ def reference_avoidance(u, positions, cfg):
     return out
 
 
+def reference_candidates(positions, cfg):
+    """The candidate mask of one (n, 2) state as the per-step loop took it."""
+    diff = positions[None, :, :] - positions[:, None, :]
+    near = ~(np.einsum("ijk,ijk->ij", diff, diff) > (cfg.d_c * (1.0 + 1e-9)) ** 2)
+    np.fill_diagonal(near, False)
+    return near
+
+
 class TestAvoidancePrefilter:
     # Agents 1-2 coincide; 3-4 are exactly d_c apart by build_cones' norm,
     # while their squared distance rounds one ulp above d_c**2; 5-6 are
@@ -450,6 +467,23 @@ class TestAvoidancePrefilter:
         scenario = self.scenario(grid9, t_final=0.02)
         log = run(scenario, grid9[2])
         assert self.check_steps(scenario, grid9[2], log) > 0
+
+    def test_stacked_masks_are_each_states_own(self):
+        with_nan = self.CROWDED.copy()
+        with_nan[4, 1] = np.nan
+        states = [self.CROWDED, with_nan, np.array(GRID9, dtype=float), self.CROWDED[::-1]]
+        # Positions as the simulator passes them: a view of wider states.
+        stack = np.zeros((4, 9, 4))
+        stack[:, :, :2] = states
+        masks = activation_candidates(stack[:, :, :2], AVOID)
+        assert masks.shape == (4, 9, 9)
+        for state, mask in zip(states, masks):
+            assert np.array_equal(mask, activation_candidates(state, AVOID))
+            assert np.array_equal(mask, reference_candidates(state, AVOID))
+        # A NaN coordinate keeps every pair of its agent.
+        assert masks[1, 4].sum() == masks[1, :, 4].sum() == 8
+        nested = activation_candidates(np.reshape(states, (2, 2, 9, 2)), AVOID)
+        assert np.array_equal(nested, masks.reshape(2, 2, 9, 9))
 
     def test_run_matches_per_agent_reference(self, grid9):
         scenario = self.scenario(grid9, t_final=1.995)
@@ -694,7 +728,138 @@ class TestOneStepMap:
         assert not any(activation_candidates(p, AVOID).any() for p in log.positions())
         plain = run(dataclasses.replace(scenario, avoidance=None), hex_gains)
         assert np.array_equal(log.states, plain.states)
-        assert np.max(np.abs(log.commands - plain.commands)) <= 1e-12
+        assert np.array_equal(log.commands, plain.commands)
+
+
+def map_stepwise(scenario, gains):
+    """States and commands of a per-step map loop over the step run builds:
+    each step tests its own state, and takes x+ = T x with the command F x
+    when no pair is within d_c, else the law, avoidance, projection and RK4."""
+    n, dim, dt = scenario.formation.n, scenario.agents.state_dim(), scenario.sim.dt
+    step = sim_module._build_step(scenario)
+    command, avoid, project, advance = step
+    edges = [_edge_arrays(g, gm, None, 1) for g, gm in zip(scenario.topologies, gains)]
+    maps = [sim_module._one_step_map(step, e, n, dim) for e in edges]
+    steps = int(math.floor(scenario.sim.t_final / dt)) + 1
+    states, cmds = np.zeros((steps, n, dim)), np.zeros((steps, n, 2))
+    states[0] = sim_module._initial_states(scenario, np.random.default_rng(scenario.sim.seed))
+    for k in range(steps):
+        topo, x = active_topology(scenario.schedule, k * dt), states[k]
+        near = activation_candidates(x[:, :2], scenario.avoidance)
+        if near.any():
+            us, _ = command(edges[topo], x, None, None)
+            project(x, avoid(x[:, :2], us, near), cmds[k])
+            if k + 1 < steps:
+                advance(x, cmds[k], states[k + 1])
+        else:
+            T, F = maps[topo]
+            cmds[k] = (F @ x.ravel()).reshape(n, 2)
+            if k + 1 < steps:
+                states[k + 1] = (T @ x.ravel()).reshape(n, dim)
+    return states, cmds
+
+
+class TestBlockSteps:
+    """Map-stepped runs step cone-free stretches in blocks, with one stacked
+    candidate test and one stacked command product per block."""
+
+    def test_close_pass_mid_stretch_takes_the_cone_step_in_place(self, hex_gains,
+                                                                  monkeypatch):
+        # Seed 48 brings two agents within d_c once, well inside the run.
+        scenario, _ = hexagon_scenario(avoidance=AVOID, sim=SimConfig(
+            t_final=6.0, seed=48, init=InitSpec(low=(-2, -2), high=(2, 2))))
+        states, cmds = map_stepwise(scenario, hex_gains)
+        builds, calls = count_commands(monkeypatch)
+        sizes = []
+        test = sim_module.activation_candidates
+        monkeypatch.setattr(sim_module, "activation_candidates",
+                            lambda p, cfg: sizes.append(len(p)) or test(p, cfg))
+        log = run(scenario, hex_gains)
+        cone = np.flatnonzero([activation_candidates(p, AVOID).any()
+                               for p in log.positions()])
+        assert 150 < cone[0] and cone[-1] < 450 and np.all(np.diff(cone) == 1)
+        assert np.array_equal(log.states, states)
+        assert np.array_equal(log.commands, cmds)
+        # One step built, the law on the cone steps and the 12 probes only.
+        assert len(builds) == 1 and len(calls) == cone.size + 12
+        assert sim_module.BLOCK_CAP in sizes and len(sizes) < log.t.size - cone.size
+
+    def test_blocks_stop_at_switches_and_the_last_step(self, monkeypatch):
+        # Three agents circle the origin at radii 1, 1.1 and 5, each turned by
+        # its own angle per step; the first two pass within d_c once, near
+        # step 50.  Topology 1 turns them by other angles, so a block that
+        # crossed a switch would step with the wrong map.  Cone steps push
+        # the agents outward, so a speculative row left in place shows, and
+        # log part of the mask they were given.
+        def turns(*angles):
+            T = np.zeros((6, 6))
+            for i, angle in enumerate(angles):
+                T[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation(angle)
+            return T
+
+        rng = np.random.default_rng(5)
+        maps = [(turns(0.010, 0.004, 0.02), rng.standard_normal((6, 6))),
+                (turns(0.012, 0.003, -0.01), rng.standard_normal((6, 6)))]
+        steps, switches = 400, (150, 230)
+        topo = np.zeros(steps, dtype=np.int64)
+        topo[switches[0] : switches[1]] = 1
+        start = np.array([[1.0, 0.0], [1.1 * math.cos(0.5), 1.1 * math.sin(0.5)],
+                          [0.0, 5.0]])
+
+        def logs():
+            states, cmds = np.zeros((steps, 3, 2)), np.zeros((steps, 3, 2))
+            states[0] = start
+            taken = []
+
+            def cone_step(k, topo_idx, near):
+                taken.append(k)
+                cmds[k] = near[:, :2]
+                if k + 1 < steps:
+                    T = maps[topo_idx][0]
+                    states[k + 1] = 1.001 * (T @ states[k].ravel()).reshape(3, 2)
+
+            return states, cmds, taken, cone_step
+
+        want, want_cmds, want_taken, cone_step = logs()
+        for k in range(steps):
+            near = activation_candidates(want[k], AVOID)
+            if near.any():
+                cone_step(k, topo[k], near)
+                continue
+            T, F = maps[topo[k]]
+            want_cmds[k] = (F @ want[k].ravel()).reshape(3, 2)
+            if k + 1 < steps:
+                want[k + 1] = (T @ want[k].ravel()).reshape(3, 2)
+
+        states, cmds, taken, cone_step = logs()
+        blocks = []
+        test = sim_module.activation_candidates
+
+        def spying(positions, cfg):
+            first = (positions.ctypes.data - states.ctypes.data) // states.strides[0]
+            blocks.append((first, first + len(positions)))
+            return test(positions, cfg)
+
+        monkeypatch.setattr(sim_module, "activation_candidates", spying)
+        sim_module._map_steps(states, cmds, topo, maps, AVOID, cone_step)
+        assert 40 < want_taken[0] and want_taken[-1] < 140
+        assert taken == want_taken
+        assert np.array_equal(states, want) and np.array_equal(cmds, want_cmds)
+        assert all(topo[a] == topo[b - 1] for a, b in blocks)
+        ends = {b for a, b in blocks if b - a > 1}
+        assert {*switches, steps} <= ends
+
+    @pytest.mark.parametrize("n, dim", [(9, 2), (6, 8), (9, 8)])
+    def test_stacked_command_product_is_per_step(self, n, dim):
+        rng = np.random.default_rng(n * dim)
+        F = rng.standard_normal((2 * n, n * dim))
+        X = rng.standard_normal((1000, n * dim))
+        stacked = np.empty((1000, 2 * n))
+        np.matmul(F, X[:, :, None], out=stacked[:, :, None])
+        per_step = np.array([F @ x for x in X])
+        assert np.array_equal(stacked, per_step), (
+            "this BLAS rounds the stacked command product differently from "
+            "per-step F @ x; map-stepped commands would not be F_k x_k bitwise")
 
 
 def bisect_bound(radius, lo, hi):
