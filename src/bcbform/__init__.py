@@ -7,7 +7,7 @@ resulting controllers with saturation, actuator dynamics, inter-agent
 collision avoidance, and switching topologies.
 """
 
-from .collision import AvoidanceConfig, CollisionCone, adjust_control, build_cones
+from .collision import AvoidanceConfig, adjust_control, build_cones
 from .controllers import ControllerConfig, PerturbationConfig, ScaleConfig
 from .dynamics import ActuatorParams
 from .errors import (
@@ -57,7 +57,6 @@ __all__ = [
     "AgentModel",
     "AvoidanceConfig",
     "BcbformError",
-    "CollisionCone",
     "ConfigurationError",
     "ControllerConfig",
     "DegenerateFormationError",

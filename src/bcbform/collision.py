@@ -1,9 +1,13 @@
-"""Distributed collision avoidance: cone construction and minimal rotation.
+"""Distributed collision avoidance: the cone rule over the whole team.
 
-Each nearby agent forbids a cone of motion directions.  The control vector
-is rotated by the smallest angle that clears every cone; if no clear
-direction exists within +-90 degrees the agent stops.  Rotations inside
-that envelope fall in the perturbation class that preserves stability.
+Each other agent within d_c forbids an agent the cone of motion directions
+that would cross its protected disc.  The agent's command is rotated by the
+smallest angle, within +-90 degrees, that clears every one of its cones; if
+there is none the agent stops.  Rotations inside that envelope fall in the
+perturbation class that preserves stability.  ``build_cones`` builds every
+cone of a step at once and ``adjust_control`` applies the rule to every
+command of the team at once.  Angles come from ``math.atan2`` and
+``math.asin``, whose results the rule's exact comparisons are written for.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from numpy.typing import NDArray
 
 from .controllers import rotation
 from .errors import ConfigurationError
+from .geometry import row_norms
 
 _TWO_PI = 2.0 * math.pi
 
@@ -66,86 +71,88 @@ def activation_candidates(positions, cfg: AvoidanceConfig) -> NDArray[np.bool_]:
     return near
 
 
-@dataclass(frozen=True)
-class CollisionCone:
-    """Angular region of directions that would intersect a neighbor's disc."""
-
-    center_dir: NDArray[np.float64]
-    half_angle: float
-
-    @property
-    def center_angle(self) -> float:
-        return math.atan2(self.center_dir[1], self.center_dir[0])
+def _angles(y, x) -> NDArray[np.float64]:
+    """``math.atan2`` of each pair of entries."""
+    return np.array(list(map(math.atan2, y.tolist(), x.tolist())), dtype=np.float64)
 
 
-def build_cones(p_i, neighbors, cfg: AvoidanceConfig) -> list[CollisionCone]:
-    """One cone per neighbor within the activation threshold.
+def build_cones(positions, near, cfg: AvoidanceConfig):
+    """Every cone of one step, as the arrays (agent, other, centre, half).
 
-    A neighbor already inside the collision radius blocks a full half-plane
-    (half angle pi/2), forcing retreat or stop.
+    One cone per pair (i, j) of the candidate mask ``near`` with
+    0 < |p_j - p_i| <= d_c, in row-major order: the agent i it constrains,
+    the neighbor j, the direction angle of p_j - p_i and the half angle.  A
+    neighbor already inside the protected radius blocks a full half-plane
+    (half angle pi/2), forcing retreat or stop.  A NaN position gives cones
+    of NaN angles, which block nothing.
     """
-    p_i = np.asarray(p_i, dtype=np.float64)
-    cones = []
-    for p_j in neighbors:
-        diff = np.asarray(p_j, dtype=np.float64) - p_i
-        d = float(np.linalg.norm(diff))
-        if d == 0.0 or d > cfg.d_c:
-            continue
-        r_eff = cfg.protected_radius
-        if d <= r_eff:
-            half = math.pi / 2
-        else:
-            half = math.asin(r_eff / d)
-        cones.append(CollisionCone(center_dir=diff / d, half_angle=half))
-    return cones
+    positions = np.asarray(positions, dtype=np.float64)
+    agent, other = np.nonzero(near)
+    diff = positions[other] - positions[agent]
+    d = row_norms(diff)
+    keep = (d != 0.0) & ~(d > cfg.d_c)
+    agent, other, diff, d = agent[keep], other[keep], diff[keep], d[keep]
+    unit = diff / d[:, None]
+    r_eff = cfg.protected_radius
+    wide = d <= r_eff
+    half = np.array(list(map(math.asin, np.where(wide, 0.0, r_eff / d).tolist())),
+                    dtype=np.float64)
+    half[wide] = math.pi / 2
+    return agent, other, _angles(unit[:, 1], unit[:, 0]), half
 
 
-def _wrap(angle: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, _TWO_PI)
-    if a <= 0:
-        a += _TWO_PI
-    return a - math.pi
+def _wrap(angle):
+    """Wrap to (-pi, pi], elementwise."""
+    a = np.fmod(angle + math.pi, _TWO_PI)
+    return np.where(a <= 0, a + _TWO_PI, a) - math.pi
 
 
-def _inside(angle: float, cone: CollisionCone, margin: float = 0.0) -> bool:
-    return abs(_wrap(angle - cone.center_angle)) < cone.half_angle - margin
+def adjust_control(us, cones, cfg: AvoidanceConfig):
+    """The team's (n, 2) commands ``us`` after the cone rule.
 
-
-def adjust_control(u, cones: list[CollisionCone], cfg: AvoidanceConfig):
-    """Rotate ``u`` by the minimum angle clearing all cones, or stop.
-
-    Returns ``u`` bitwise-unchanged when it is already clear.  Ties between
-    equal clockwise/counterclockwise rotations break counterclockwise.  The
-    output norm is either ``|u|`` or zero.
+    Each command inside a cone of its agent is rotated by the smallest angle
+    within +-90 degrees that clears all of that agent's cones (by a margin
+    of 1e-12), or set to zero if no such angle exists.  The candidates are
+    the cone boundaries; ties between equal clockwise and counterclockwise
+    rotations break counterclockwise.  Returns ``us`` itself when every
+    command is clear, else a new array.  Each output row's norm is either
+    its input's or zero.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if not cones or not np.any(u):
-        return u
-    theta_u = math.atan2(u[1], u[0])
-    if not any(_inside(theta_u, c) for c in cones):
-        return u
+    agent, other, centre, half = cones
+    us = np.asarray(us, dtype=np.float64)
+    if not agent.size:
+        return us
+    u = us[agent]
+    theta = _angles(u[:, 1], u[:, 0])
+    hit = np.any(u, axis=1) & (np.abs(_wrap(theta - centre)) < half)
+    if not hit.any():
+        return us
 
-    # Forbidden intervals relative to the control direction.
-    intervals = []
-    for c in cones:
-        center = _wrap(c.center_angle - theta_u)
-        intervals.append((center - c.half_angle, center + c.half_angle))
+    # The blocked agents' cones, one row per agent and one column per
+    # neighbor; NaN where there is no cone, which adds no candidate and
+    # blocks nothing.
+    n = len(us)
+    c, h = np.full((2, n, n), np.nan)
+    c[agent, other], h[agent, other] = centre, half
+    t_u = np.empty(n)
+    t_u[agent] = theta
+    blocked = np.unique(agent[hit])
+    c, h, t_u = c[blocked], h[blocked], t_u[blocked]
 
-    # Candidate rotations: cone boundary angles within the +-90 deg envelope.
-    candidates = []
-    for lo, hi in intervals:
-        for cand in (lo, hi):
-            cand = _wrap(cand)
-            if abs(cand) < math.pi / 2:
-                candidates.append(cand)
-    feasible = [
-        t
-        for t in candidates
-        if not any(_inside(theta_u + t, c, margin=1e-12) for c in cones)
-    ]
-    if not feasible:
-        return np.zeros(2)
-    # Minimum magnitude; counterclockwise (positive) wins exact ties.
-    best = min(feasible, key=lambda t: (abs(t), -math.copysign(1.0, t)))
-    return rotation(best) @ u
+    # Candidate rotations: both boundaries of each cone, relative to the
+    # command, within the +-90 deg envelope and clear of every cone.
+    rel = _wrap(c - t_u[:, None])
+    t = _wrap(np.concatenate([rel - h, rel + h], axis=1))
+    inside = (np.abs(_wrap(t_u[:, None, None] + t[:, :, None] - c[:, None, :]))
+              < h[:, None, :] - 1e-12)
+    ok = (np.abs(t) < math.pi / 2) & ~inside.any(axis=2)
+
+    # Smallest |t|, the positive one of an exact tie.
+    size = np.where(ok, np.abs(t), np.inf)
+    best = np.where(ok & (size == size.min(axis=1, keepdims=True)), t, -np.inf).max(axis=1)
+    turn = ok.any(axis=1)
+    out = us.copy()
+    turned = blocked[turn]
+    out[turned] = np.matmul(rotation(best[turn]), us[turned][:, :, None])[:, :, 0]
+    out[blocked[~turn]] = 0.0
+    return out

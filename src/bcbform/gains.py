@@ -129,16 +129,6 @@ class GainMatrix:
         return {k: v for k, v in self.blocks.items() if k[0] < k[1]}
 
 
-def reduced_matrix(A: NDArray[np.floating], basis: KernelBasis) -> NDArray[np.float64]:
-    """Restriction Q^T A Q carrying the nonzero spectrum of A."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (basis.N.shape[0],) * 2:
-        raise DimensionError(
-            f"gain matrix shape {A.shape} does not match basis dimension {basis.N.shape[0]}"
-        )
-    return basis.Q.T @ A @ basis.Q
-
-
 def verify_gains(A: GainMatrix | NDArray[np.floating], basis: KernelBasis) -> SpectrumReport:
     """Spectrum check: four zero eigenvalues (to 1e-6 relative), rest negative."""
     mat = A.assembled if isinstance(A, GainMatrix) else np.asarray(A, dtype=np.float64)
@@ -597,24 +587,3 @@ def verify_higher_order_gains(
         max_real_parts=tuple(max_parts),
         mus=tuple(mus),
     )
-
-
-def chain_closed_loop_matrix(
-    A: NDArray[np.floating], k: list[float], variant: str = "full_A"
-) -> NDArray[np.float64]:
-    """Block-companion closed-loop matrix for chain agents (cross-check)."""
-    A = np.asarray(A, dtype=np.float64)
-    d = A.shape[0]
-    m = len(k) - 1
-    E = np.zeros((d * (m + 1), d * (m + 1)))
-    for blk in range(m):
-        E[blk * d : (blk + 1) * d, (blk + 1) * d : (blk + 2) * d] = np.eye(d)
-    last = m * d
-    E[last:, :d] = k[0] * A
-    for j in range(1, m + 1):
-        blk = j * d
-        if variant == "full_A":
-            E[last:, blk : blk + d] = k[j] * A
-        else:
-            E[last:, blk : blk + d] = -k[j] * np.eye(d)
-    return E

@@ -2,20 +2,21 @@
 
 One engine covers all dynamics classes.  ``run`` builds the step once, with
 the configuration bound: the command (the laws of ``controllers`` on the
-sensing edges of each topology, held as arrays), avoidance per agent, the
-projection and saturation of the dynamics class, and one classical RK4 step
-of the (n, state_dim) state under zero-order-hold commands.  Each time step
-then calls those pieces on the whole team.  When the law's step is linear
-in the team state, it is probed once per topology into its one-step matrix
-and applied as one matrix-vector product per step; with avoidance, only on
-the steps where no pair of agents is within d_c, the others running the
-pieces.  Such runs go in blocks of steps: one stacked product logs a
-block's commands, and with avoidance one stacked candidate test finds the
-first step of the block that needs the pieces (``_map_steps``).  The
-metrics are computed once from the stored log.  Per-agent
-measurement frames (``Scenario.frame_angles``) do not enter the step: the
-blocks a*I + b*K commute with every rotation, so no common orientation is
-needed.
+sensing edges of each topology, held as arrays), the projection and
+saturation of the dynamics class, and one classical RK4 step of the
+(n, state_dim) state under zero-order-hold commands.  One stage step
+(``_stage_step``) runs them on the whole team, with the cone rule of
+``collision`` over the whole team between command and projection.  When
+the law's step is linear in the team state, it is probed once per topology
+into its one-step matrix and applied as one matrix-vector product per step;
+with avoidance, only on the steps where no pair of agents is within d_c,
+the others taking the stage step.  Such runs go in blocks of steps: one
+stacked product logs a block's commands, and with avoidance one stacked
+candidate test finds the first step of the block that needs the stage step
+(``_map_steps``).  The metrics are computed once from the stored log.
+Per-agent measurement frames (``Scenario.frame_angles``) do not enter the
+step: the blocks a*I + b*K commute with every rotation, so no common
+orientation is needed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .dynamics import (
     heading_vector,
     rear_to_front_speed,
 )
-from .errors import ConfigurationError, DimensionError, GuaranteeViolationError
+from .errors import ConfigurationError, GuaranteeViolationError
 from .gains import GainMatrix, verify_gains, verify_higher_order_gains
 from .geometry import (
     FormationSpec,
@@ -73,6 +74,16 @@ _UNREAD_SETTINGS = {
 }
 _KINEMATIC_UNREAD = ("k_s", "actuator_mode")
 _CONTROLLER_DEFAULTS = ControllerConfig()
+# Agent settings each dynamics class never reads, refused in the same way:
+# only chains have an order, only vehicles a kinematic_only switch, and only
+# cars a wheelbase and a drive (a unicycle projects like a front-drive car).
+# Only dynamic vehicles read actuators.
+_UNREAD_AGENT_SETTINGS = {
+    "single_integrator": ("chain_order", "kinematic_only", "actuators", "wheelbase", "drive"),
+    "chain": ("kinematic_only", "actuators", "wheelbase", "drive"),
+    "unicycle": ("chain_order", "wheelbase", "drive"),
+    "car": ("chain_order",),
+}
 
 CONVERGENCE_THRESHOLD = 1e-3
 CONVERGENCE_SUSTAIN = 1.0  # seconds below threshold before declaring success
@@ -109,6 +120,9 @@ class AgentModel:
         if self.dynamics == "unicycle":
             return 3 if self.kinematic_only else 5
         return 4 if self.kinematic_only else 6
+
+
+_AGENT_DEFAULTS = AgentModel()
 
 
 @dataclass(frozen=True)
@@ -193,8 +207,12 @@ class Scenario:
         vehicle = model.dynamics in ("unicycle", "car")
         kinematic = vehicle and model.kinematic_only
         names = _UNREAD_SETTINGS[model.dynamics] + (_KINEMATIC_UNREAD if kinematic else ())
+        agent_names = _UNREAD_AGENT_SETTINGS[model.dynamics] + (
+            ("actuators",) if kinematic else ())
         unread = [f"controller.{name}" for name in names if not np.array_equal(
             getattr(cfg, name), getattr(_CONTROLLER_DEFAULTS, name))]
+        unread += [f"agents.{name}" for name in agent_names if not np.array_equal(
+            getattr(model, name), getattr(_AGENT_DEFAULTS, name))]
         if unread:
             raise ConfigurationError(
                 f"{'kinematic ' if kinematic else ''}{model.dynamics} dynamics never read "
@@ -216,13 +234,6 @@ class Scenario:
                 raise ConfigurationError(
                     f"sim.init.states has shape {shape}; expected ({n}, 2) or ({n}, {dim})"
                 )
-
-
-def active_topology(schedule, t: float) -> int:
-    """Index of the topology active at time ``t`` (closed on the left)."""
-    if t < 0:
-        raise DimensionError("time must be nonnegative")
-    return int(_topology_indices(schedule, np.array([t]))[0])
 
 
 @dataclass
@@ -274,16 +285,13 @@ def _initial_states(scenario: Scenario, rng: np.random.Generator) -> NDArray[np.
 
 def _build_step(scenario: Scenario):
     """One time step with the configuration bound, built once per run, as
-    (command, avoid, project, advance).  ``command(edges, states, integral,
-    rng)`` gives the law's (n, 2) planar commands and the integral law's next
-    state; ``avoid(positions, us, near)`` applies avoidance to ``us`` in
-    place, given this step's ``activation_candidates`` mask, and is None
-    without avoidance; ``project(states, us, out)`` writes the inputs of the
-    agents' dynamics into ``out``; ``advance(states, cmds, out)`` writes the
-    RK4 step into ``out``.  Map-stepped runs probe command, project and
-    advance of this same step for their maps."""
-    return (_command(scenario), _avoidance(scenario), _projection(scenario),
-            _rk4_advance(scenario))
+    (command, project, advance).  ``command(edges, states, integral, rng)``
+    gives the law's (n, 2) planar commands and the integral law's next
+    state; ``project(states, us, out)`` writes the inputs of the agents'
+    dynamics into ``out``; ``advance(states, cmds, out)`` writes the RK4
+    step into ``out``.  ``_stage_step`` runs them with avoidance between
+    command and projection; map-stepped runs probe them for their maps."""
+    return _command(scenario), _projection(scenario), _rk4_advance(scenario)
 
 
 def _command(scenario: Scenario):
@@ -325,52 +333,31 @@ def _command(scenario: Scenario):
     return command
 
 
-def _avoidance(scenario: Scenario):
-    """Avoidance after the law, or None without it.
+def _stage_step(step, edges, avoidance: AvoidanceConfig | None, states_log, cmds_log):
+    """``stage_step(k, topo_idx, near=None, integral=None, rng=None)``: step
+    k of a run, from and into the logs, by the law on topology ``topo_idx``,
+    avoidance, projection and RK4; it returns the integral law's next state.
 
     Avoidance sees every other agent's position, not just sensing-graph
-    neighbors.  An agent with no other agent within d_c gets no cone, and
-    adjust_control returns its command unchanged, so only the candidates of
-    ``near`` are visited; ``us`` is the step's own array."""
-    cfg = scenario.avoidance
-    if cfg is None:
-        return None
-
-    def avoid(positions, us, near):
-        for i in np.flatnonzero(near.any(axis=1)):
-            cones = build_cones(positions[i], positions[near[i]], cfg)
-            us[i] = adjust_control(us[i], cones, cfg)
-        return us
-
-    return avoid
-
-
-def _avoiding(command, avoid, cfg: AvoidanceConfig):
-    """``command`` followed by ``avoid`` on the step's candidates."""
-
-    def avoiding(edges, states, integral, rng):
-        us, integral = command(edges, states, integral, rng)
-        positions = states[:, :2]
-        return avoid(positions, us, activation_candidates(positions, cfg)), integral
-
-    return avoiding
-
-
-def _cone_step(step, edges, states_log, cmds_log):
-    """``cone_step(k, topo_idx, near)``: step k of a map-stepped avoidance
-    run taken by the law, avoidance on the candidates ``near`` of its state,
-    projection and RK4, from and into the logs."""
-    command, avoid, project, advance = step
+    neighbors: the cones are built from the pairs of the step's
+    ``activation_candidates`` mask, ``near`` when the caller has it."""
+    command, project, advance = step
     steps = len(states_log)
 
-    def cone_step(k, topo_idx, near):
+    def stage_step(k, topo_idx, near=None, integral=None, rng=None):
         states = states_log[k]
-        us, _ = command(edges[topo_idx], states, None, None)
-        project(states, avoid(states[:, :2], us, near), cmds_log[k])
+        us, integral = command(edges[topo_idx], states, integral, rng)
+        if avoidance is not None:
+            positions = states[:, :2]
+            if near is None:
+                near = activation_candidates(positions, avoidance)
+            us = adjust_control(us, build_cones(positions, near, avoidance), avoidance)
+        project(states, us, cmds_log[k])
         if k + 1 < steps:
             advance(states, cmds_log[k], states_log[k + 1])
+        return integral
 
-    return cone_step
+    return stage_step
 
 
 def _projection(scenario: Scenario):
@@ -483,7 +470,7 @@ def _one_step_map(step, edges: ctl._EdgeArrays, n: int, dim: int):
     takes x to T x and logs the command F x.  Column j is the step taken
     from the j-th unit state, so T and F are the step the simulator applies
     where avoidance leaves the law's command alone."""
-    command, _, project, advance = step
+    command, project, advance = step
     T = np.empty((n * dim, n * dim))
     F = np.empty((2 * n, n * dim))
     cmds, after = np.empty((n, 2)), np.empty((n, dim))
@@ -530,7 +517,7 @@ def _stretches(topo: NDArray[np.int64]):
     return zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(topo)].tolist())
 
 
-def _map_steps(states_log, cmds_log, topo_log, maps, cfg, cone_step):
+def _map_steps(states_log, cmds_log, topo_log, maps, cfg, stage_step):
     """Advance a map-stepped run through the logs, whose first state is set.
 
     A stretch of constant topology k is taken in blocks.  A block from step
@@ -539,9 +526,10 @@ def _map_steps(states_log, cmds_log, topo_log, maps, cfg, cone_step):
     Without avoidance (``cfg`` None) a block is the whole stretch.  With
     it, one ``activation_candidates`` call tests the block's states; the
     block keeps the states up to the first with a candidate pair, and
-    ``cone_step(k, topo_idx, near)`` takes that step.  A block holds one
-    state until BLOCK_STREAK clean ones in a row, then doubles after each
-    clean block up to BLOCK_CAP; a cone step sets it back to one state.
+    ``stage_step(k, topo_idx, near)`` takes that step with its mask row.  A
+    block holds one state until BLOCK_STREAK clean ones in a row, then
+    doubles after each clean block up to BLOCK_CAP; a cone step sets it back
+    to one state.
     Rows stepped past a state with a candidate are overwritten by the steps
     that follow it, so every state is the one a per-step loop gives."""
     steps = len(states_log)
@@ -565,7 +553,7 @@ def _map_steps(states_log, cmds_log, topo_log, maps, cfg, cone_step):
             if cone > a:
                 np.matmul(F, X[a:cone, :, None], out=U[a:cone, :, None])
             if cone < b:
-                cone_step(cone, topo_log[first], near[cone - a])
+                stage_step(cone, topo_log[first], near[cone - a])
                 size, streak = 1, 0
                 a = cone + 1
             else:
@@ -575,19 +563,13 @@ def _map_steps(states_log, cmds_log, topo_log, maps, cfg, cone_step):
                 a = b
 
 
-def _stage_steps(command, project, advance, edges, topo_log, states_log, cmds_log, rng):
-    """Advance a run through the logs, whose first state is set, one step at
-    a time: the command, its projection and the RK4 step."""
-    steps = len(states_log)
+def _stage_steps(stage_step, topo_log, rng):
+    """Advance a run through the logs, whose first state is set, one
+    ``stage_step`` at a time."""
     # The integral law's state is None before the first step.
     integral = None
     for k, topo_idx in enumerate(topo_log.tolist()):
-        states = states_log[k]
-        us, next_integral = command(edges[topo_idx], states, integral, rng)
-        project(states, us, cmds_log[k])
-        if k + 1 < steps:
-            advance(states, cmds_log[k], states_log[k + 1])
-            integral = next_integral
+        integral = stage_step(k, topo_idx, None, integral, rng)
 
 
 def _convergence_time(t: NDArray[np.float64], err: NDArray[np.float64], threshold: float):
@@ -692,12 +674,12 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
     ]
     dim = model.state_dim()
     step = _build_step(scenario)
-    command, avoid, project, advance = step
+    avoidance = scenario.avoidance
     maps = [_one_step_map(step, e, n, dim) for e in edges] if by_map else None
     # Avoidance runs keep the bound above: the map is their step only while
     # no cone is active, and whether one is at the reached formation depends
     # on the scale it converges to.
-    for k, (T, _) in enumerate(maps if maps and avoid is None else ()):
+    for k, (T, _) in enumerate(maps if maps and avoidance is None else ()):
         radius = _map_radius(T, basis, full_A)
         if radius >= 1.0:
             raise ConfigurationError(
@@ -716,15 +698,13 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
 
     # Each step reads its state from the log and writes the next one there.
     states_log[0] = states
+    stage_step = _stage_step(step, edges, avoidance, states_log, cmds_log)
     if maps is not None:
         # A step with no pair within d_c is the law's: it takes the map.
-        # Any other runs law, avoidance, projection and RK4.
-        cone_step = None if avoid is None else _cone_step(step, edges, states_log, cmds_log)
-        _map_steps(states_log, cmds_log, topo_log, maps, scenario.avoidance, cone_step)
+        # Any other is a stage step.
+        _map_steps(states_log, cmds_log, topo_log, maps, avoidance, stage_step)
     else:
-        if avoid is not None:
-            command = _avoiding(command, avoid, scenario.avoidance)
-        _stage_steps(command, project, advance, edges, topo_log, states_log, cmds_log, rng)
+        _stage_steps(stage_step, topo_log, rng)
 
     positions = states_log[:, :, :2]
     q = positions.reshape(steps, -1)

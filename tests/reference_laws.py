@@ -1,16 +1,22 @@
 """Per-agent control laws, as the paper states them: one agent's command from
-its own (neighbor j, relative measurement) pairs and its gain blocks A_ij.
+its own (neighbor j, relative measurement) pairs and its gain blocks A_ij,
+and the collision cones of one agent and the minimal rotation that clears
+them.
 
-``bcbform.controllers`` evaluates each law for the whole team at once; the
-tests compare it with these, and build small star graphs for cases that can
-be checked by hand.
+``bcbform.controllers`` and ``bcbform.collision`` evaluate each rule for the
+whole team at once; the tests compare them with these, and build small star
+graphs for cases that can be checked by hand.  The closed-loop matrices and
+the schedule lookup at the end are dense references for the gain checks and
+the simulator.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from bcbform.controllers import _edge_arrays
+from bcbform.controllers import _edge_arrays, rotation
+from bcbform.errors import DimensionError
 from bcbform.gains import GainMatrix
 from bcbform.geometry import SensingGraph
 
@@ -71,3 +77,130 @@ def scale_augmented_control(agent, rel_positions, gain_blocks, scale):
         d = float(np.linalg.norm(rel))
         u = u + scale.f(d - scale.d_star[(min(agent, j), max(agent, j))]) * rel
     return u
+
+
+@dataclass(frozen=True)
+class CollisionCone:
+    """Angular region of directions that would intersect a neighbor's disc."""
+
+    center_dir: np.ndarray
+    half_angle: float
+
+    @property
+    def center_angle(self) -> float:
+        return math.atan2(self.center_dir[1], self.center_dir[0])
+
+
+def build_cones(p_i, neighbors, cfg):
+    """One cone per neighbor within the activation threshold.
+
+    A neighbor already inside the protected radius blocks a full half-plane
+    (half angle pi/2), forcing retreat or stop.
+    """
+    p_i = np.asarray(p_i, dtype=np.float64)
+    cones = []
+    for p_j in neighbors:
+        diff = np.asarray(p_j, dtype=np.float64) - p_i
+        d = float(np.linalg.norm(diff))
+        if d == 0.0 or d > cfg.d_c:
+            continue
+        r_eff = cfg.protected_radius
+        if d <= r_eff:
+            half = math.pi / 2
+        else:
+            half = math.asin(r_eff / d)
+        cones.append(CollisionCone(center_dir=diff / d, half_angle=half))
+    return cones
+
+
+def _wrap(angle: float) -> float:
+    """Wrap to (-pi, pi]."""
+    a = math.fmod(angle + math.pi, 2.0 * math.pi)
+    if a <= 0:
+        a += 2.0 * math.pi
+    return a - math.pi
+
+
+def _inside(angle: float, cone: CollisionCone, margin: float = 0.0) -> bool:
+    return abs(_wrap(angle - cone.center_angle)) < cone.half_angle - margin
+
+
+def adjust_control(u, cones, cfg):
+    """Rotate ``u`` by the minimum angle clearing all cones, or stop.
+
+    Returns ``u`` unchanged when it is already clear.  Ties between equal
+    clockwise/counterclockwise rotations break counterclockwise.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if not cones or not np.any(u):
+        return u
+    theta_u = math.atan2(u[1], u[0])
+    if not any(_inside(theta_u, c) for c in cones):
+        return u
+    candidates = []
+    for c in cones:
+        center = _wrap(c.center_angle - theta_u)
+        for cand in (center - c.half_angle, center + c.half_angle):
+            cand = _wrap(cand)
+            if abs(cand) < math.pi / 2:
+                candidates.append(cand)
+    feasible = [
+        t
+        for t in candidates
+        if not any(_inside(theta_u + t, c, margin=1e-12) for c in cones)
+    ]
+    if not feasible:
+        return np.zeros(2)
+    best = min(feasible, key=lambda t: (abs(t), -math.copysign(1.0, t)))
+    return rotation(best) @ u
+
+
+def avoidance(us, positions, cfg):
+    """Every agent's command after the per-agent rule, against all the other
+    agents in index order."""
+    positions = np.asarray(positions, dtype=np.float64)
+    out = np.array(us, dtype=np.float64)
+    for i in range(len(out)):
+        cones = build_cones(positions[i], np.delete(positions, i, axis=0), cfg)
+        out[i] = adjust_control(out[i], cones, cfg)
+    return out
+
+
+def reduced_matrix(A, basis):
+    """Restriction Q^T A Q carrying the nonzero spectrum of A."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.shape != (basis.N.shape[0],) * 2:
+        raise DimensionError(
+            f"gain matrix shape {A.shape} does not match basis dimension {basis.N.shape[0]}"
+        )
+    return basis.Q.T @ A @ basis.Q
+
+
+def chain_closed_loop_matrix(A, k, variant="full_A"):
+    """Block-companion closed-loop matrix for chain agents."""
+    A = np.asarray(A, dtype=np.float64)
+    d = A.shape[0]
+    m = len(k) - 1
+    E = np.zeros((d * (m + 1), d * (m + 1)))
+    for blk in range(m):
+        E[blk * d : (blk + 1) * d, (blk + 1) * d : (blk + 2) * d] = np.eye(d)
+    last = m * d
+    E[last:, :d] = k[0] * A
+    for j in range(1, m + 1):
+        blk = j * d
+        if variant == "full_A":
+            E[last:, blk : blk + d] = k[j] * A
+        else:
+            E[last:, blk : blk + d] = -k[j] * np.eye(d)
+    return E
+
+
+def active_topology(schedule, t):
+    """Index of the topology active at time ``t``: that of the last schedule
+    entry at or before it (closed on the left)."""
+    if t < 0:
+        raise DimensionError("time must be nonnegative")
+    for t_k, k in schedule:
+        if t_k <= t:
+            index = k
+    return index

@@ -16,7 +16,12 @@ import pytest
 from conftest import CAPTURE
 
 from bcbform.cli import demo_scenario
-from bcbform.collision import AvoidanceConfig, build_cones, adjust_control
+from bcbform.collision import (
+    AvoidanceConfig,
+    activation_candidates,
+    adjust_control,
+    build_cones,
+)
 from reference_laws import star_edges
 
 from bcbform.controllers import (
@@ -524,7 +529,12 @@ class TestCriterion13PropertySuites:
         for _ in range(self.CASES):
             u = rng.normal(scale=3.0, size=2)
             pts = rng.uniform(-5.0, 5.0, size=(rng.integers(0, 5), 2))
-            out = adjust_control(u, build_cones([0.0, 0.0], pts, cfg), cfg)
+            # The agent at the origin among still neighbors at ``pts``.
+            positions = np.vstack([[0.0, 0.0], pts])
+            us = np.zeros_like(positions)
+            us[0] = u
+            cones = build_cones(positions, activation_candidates(positions, cfg), cfg)
+            out = adjust_control(us, cones, cfg)[0]
             n_in, n_out = float(np.linalg.norm(u)), float(np.linalg.norm(out))
             ok &= n_out == 0.0 or abs(n_out - n_in) < 1e-9 * max(1.0, n_in)
         report(13, "avoidance norm preservation", ok)

@@ -194,9 +194,45 @@ MALFORMED = {
         "scenario", lambda d: (d["agents"].update(dynamics="unicycle"),
                                d["controller"].update(chain_variant="full_A")),
         "unicycle dynamics never read these settings; remove controller.chain_variant"),
+    "kinematic_only_on_single_integrator": (
+        "scenario", lambda d: d["agents"].update(kinematic_only=False),
+        "single_integrator dynamics never read these settings; remove agents.kinematic_only"),
+    "drive_on_single_integrator": (
+        "scenario", lambda d: d["agents"].update(drive="rear"),
+        "single_integrator dynamics never read these settings; remove agents.drive"),
+    "wheelbase_on_single_integrator": (
+        "scenario", lambda d: d["agents"].update(wheelbase=7.0),
+        "single_integrator dynamics never read these settings; remove agents.wheelbase"),
+    "chain_order_on_single_integrator": (
+        "scenario", lambda d: d["agents"].update(chain_order=5),
+        "single_integrator dynamics never read these settings; remove agents.chain_order"),
+    "actuators_on_single_integrator": (
+        "scenario", lambda d: d["agents"].update(actuators=[[5.0, 6.0, 7.0, 8.0]] * 3),
+        "single_integrator dynamics never read these settings; remove agents.actuators"),
+    "kinematic_only_on_chain": (
+        "scenario", lambda d: (d["agents"].update(dynamics="chain", chain_order=1,
+                                                  kinematic_only=False),
+                               d["controller"].update(k_chain=[1.0, 2.0])),
+        "chain dynamics never read these settings; remove agents.kinematic_only"),
+    "wheelbase_and_drive_on_unicycle": (
+        "scenario", lambda d: d["agents"].update(dynamics="unicycle", wheelbase=7.0,
+                                                 drive="rear"),
+        "kinematic unicycle dynamics never read these settings; "
+        "remove agents.wheelbase, agents.drive"),
+    "chain_order_on_car": (
+        "scenario", lambda d: d["agents"].update(dynamics="car", chain_order=5),
+        "kinematic car dynamics never read these settings; remove agents.chain_order"),
+    "actuators_on_kinematic_unicycle": (
+        "scenario", lambda d: d["agents"].update(dynamics="unicycle",
+                                                 actuators=[[5.0, 6.0, 7.0, 8.0]] * 3),
+        "kinematic unicycle dynamics never read these settings; remove agents.actuators"),
+    "actuators_on_kinematic_car": (
+        "scenario", lambda d: d["agents"].update(dynamics="car",
+                                                 actuators=[[5.0, 6.0, 7.0, 8.0]] * 3),
+        "kinematic car dynamics never read these settings; remove agents.actuators"),
 }
 
-# Controller settings that a run would drop without a word.
+# Controller and agent settings that a run would drop without a word.
 DROPPED_SETTINGS = [
     "k0_int_without_k1_int", "k1_int_without_k0_int", "negative_k0_int_alone",
     "zero_k0_int", "scale_with_integral_gains", "chain_with_scale",
@@ -204,6 +240,11 @@ DROPPED_SETTINGS = [
     "omega_max_and_phi_max_on_single_integrator", "k_s_on_chain", "u_max_on_unicycle",
     "phi_max_on_unicycle", "u_max_on_car", "actuator_law_on_kinematic_unicycle",
     "k_s_on_kinematic_car", "chain_law_on_single_integrator", "chain_variant_on_unicycle",
+    "kinematic_only_on_single_integrator", "drive_on_single_integrator",
+    "wheelbase_on_single_integrator", "chain_order_on_single_integrator",
+    "actuators_on_single_integrator", "kinematic_only_on_chain",
+    "wheelbase_and_drive_on_unicycle", "chain_order_on_car",
+    "actuators_on_kinematic_unicycle", "actuators_on_kinematic_car",
 ]
 
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_laws import chain_closed_loop_matrix, reduced_matrix
+
 import bcbform.gains as gains_mod
 from bcbform.cli import demo_scenario
 
@@ -19,10 +21,8 @@ from bcbform.gains import (
     GainMatrix,
     SolverOptions,
     chain_characteristic,
-    chain_closed_loop_matrix,
     design_gains,
     design_joint_gains,
-    reduced_matrix,
     verify_gains,
     verify_higher_order_gains,
 )

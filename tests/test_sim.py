@@ -8,6 +8,8 @@ import pytest
 
 from reference_laws import (
     IntegralState,
+    active_topology,
+    avoidance,
     consensus_term,
     higher_order_control,
     integral_control,
@@ -39,7 +41,6 @@ from bcbform.sim import (
     InitSpec,
     Scenario,
     SimConfig,
-    active_topology,
     lyapunov_monitor,
     run,
     state_column_names,
@@ -74,12 +75,10 @@ class TestActiveTopology:
     SCHEDULE = ((0.0, 0), (5.0, 1), (10.0, 0))
 
     def test_closed_on_the_left(self):
-        assert active_topology(self.SCHEDULE, 0.0) == 0
-        assert active_topology(self.SCHEDULE, 4.999) == 0
-        assert active_topology(self.SCHEDULE, 5.0) == 1
-        assert active_topology(self.SCHEDULE, 9.999) == 1
-        assert active_topology(self.SCHEDULE, 10.0) == 0
-        assert active_topology(self.SCHEDULE, 1e6) == 0
+        t = np.array([0.0, 4.999, 5.0, 9.999, 10.0, 1e6])
+        index = sim_module._topology_indices(self.SCHEDULE, t)
+        assert index.tolist() == [0, 0, 1, 1, 0, 0]
+        assert index.tolist() == [active_topology(self.SCHEDULE, x) for x in t]
 
     def test_negative_time_rejected(self):
         with pytest.raises(Exception):
@@ -401,15 +400,6 @@ GRID9 = [(c, -r) for r in range(3) for c in range(3)]
 AVOID = AvoidanceConfig(r=0.1, d_c=0.25, margin=0.01)
 
 
-def reference_avoidance(u, positions, cfg):
-    """Every agent against all the others, in index order."""
-    out = np.empty_like(u)
-    for i in range(len(u)):
-        cones = build_cones(positions[i], np.delete(positions, i, axis=0), cfg)
-        out[i] = adjust_control(u[i], cones, cfg)
-    return out
-
-
 def reference_candidates(positions, cfg):
     """The candidate mask of one (n, 2) state as the per-step loop took it."""
     diff = positions[None, :, :] - positions[:, None, :]
@@ -447,12 +437,12 @@ class TestAvoidancePrefilter:
         unadjusted command: bitwise on steps with candidates, which run the
         law, and to 1e-12 on the others, which take the one-step map.
         Returns how many commands avoidance changed."""
-        command, _, _, _ = sim_module._build_step(scenario)
+        command, _, _ = sim_module._build_step(scenario)
         edges = _edge_arrays(scenario.topologies[0], gains[0], None, 1)
         changed = 0
         for k in range(log.t.size):
             u, _ = command(edges, log.states[k], None, None)
-            want = reference_avoidance(u, log.states[k], scenario.avoidance)
+            want = avoidance(u, log.states[k], scenario.avoidance)
             if activation_candidates(log.states[k], scenario.avoidance).any():
                 assert np.array_equal(log.commands[k], want)
             else:
@@ -575,13 +565,15 @@ def stepwise_pieces(scenario, gains):
     orders = model.chain_order + 1 if full_A else 1
     edges = [_edge_arrays(g, gm, cfg.scale, orders)
              for g, gm in zip(scenario.topologies, gains)]
-    command, avoid, project, advance = sim_module._build_step(scenario)
+    command, project, advance = sim_module._build_step(scenario)
+    avoid = scenario.avoidance
 
     def commands(topo, states, integral, rng):
         us, next_integral = command(edges[topo], states, integral, rng)
         if avoid is not None:
             positions = states[:, :2]
-            avoid(positions, us, activation_candidates(positions, scenario.avoidance))
+            near = activation_candidates(positions, avoid)
+            us = adjust_control(us, build_cones(positions, near, avoid), avoid)
         return project(states, us, np.empty((len(states), 2))), next_integral
 
     return commands, advance
@@ -737,7 +729,8 @@ def map_stepwise(scenario, gains):
     when no pair is within d_c, else the law, avoidance, projection and RK4."""
     n, dim, dt = scenario.formation.n, scenario.agents.state_dim(), scenario.sim.dt
     step = sim_module._build_step(scenario)
-    command, avoid, project, advance = step
+    command, project, advance = step
+    cfg = scenario.avoidance
     edges = [_edge_arrays(g, gm, None, 1) for g, gm in zip(scenario.topologies, gains)]
     maps = [sim_module._one_step_map(step, e, n, dim) for e in edges]
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
@@ -745,10 +738,10 @@ def map_stepwise(scenario, gains):
     states[0] = sim_module._initial_states(scenario, np.random.default_rng(scenario.sim.seed))
     for k in range(steps):
         topo, x = active_topology(scenario.schedule, k * dt), states[k]
-        near = activation_candidates(x[:, :2], scenario.avoidance)
+        near = activation_candidates(x[:, :2], cfg)
         if near.any():
             us, _ = command(edges[topo], x, None, None)
-            project(x, avoid(x[:, :2], us, near), cmds[k])
+            project(x, adjust_control(us, build_cones(x[:, :2], near, cfg), cfg), cmds[k])
             if k + 1 < steps:
                 advance(x, cmds[k], states[k + 1])
         else:
@@ -990,7 +983,7 @@ class TestEdgeSum:
         )
         n, dim = scenario.formation.n, model.state_dim()
         orders = model.chain_order + 1 if law == "chain_full_A" else 1
-        command, _, _, _ = sim_module._build_step(scenario)
+        command, _, _ = sim_module._build_step(scenario)
         rng = np.random.default_rng([len(name), orders])
         degrees = set()
         for graph in scenario.topologies:
