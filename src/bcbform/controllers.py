@@ -26,7 +26,11 @@ from .geometry import SensingGraph, row_dot, row_norms
 def rotation(alpha) -> NDArray[np.float64]:
     """Planar rotation by ``alpha``; an array of angles gives (..., 2, 2)."""
     c, s = np.cos(alpha), np.sin(alpha)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    R = np.empty(np.shape(c) + (2, 2))
+    R[..., 0, 0] = R[..., 1, 1] = c
+    R[..., 0, 1] = -s
+    R[..., 1, 0] = s
+    return R
 
 
 @dataclass(frozen=True)

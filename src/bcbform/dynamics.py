@@ -125,15 +125,19 @@ def deriv_car(
         if params is None:
             raise ConfigurationError("actuator params required for the dynamic car")
         v, omega = state[..., 4], state[..., 5]
-    phidot = omega
-    if phi_max is not None:
-        phidot = np.where((np.abs(phi) >= phi_max) & (phi * phidot > 0), 0.0, phidot)
     delta = theta + phi
     out = _field_out(out, state, inputs, 4 if kinematic_only else 6)
     np.multiply(v, np.cos(delta), out=out[..., 0])
     np.multiply(v, np.sin(delta), out=out[..., 1])
     np.multiply(v / wheelbase, np.sin(phi), out=out[..., 2])
-    out[..., 3] = phidot
+    out[..., 3] = omega
+    if phi_max is not None:
+        # Clamped in place, and only with an agent at the bound;
+        # count_nonzero tests a small mask about three times faster than any.
+        at_bound = np.abs(phi) >= phi_max
+        if np.count_nonzero(at_bound):
+            at_bound &= phi * omega > 0
+            np.copyto(out[..., 3], 0.0, where=at_bound)
     if not kinematic_only:
         _actuator_rates(params, v, omega, inputs, out[..., 4:])
     return out

@@ -8,6 +8,14 @@ through one factored KKT matrix, and a PSD projection.  Its dual iterate
 gives an upper bound on the optimum, so every design reports its duality
 gap.
 
+The 2n - 4 nonzero eigenvalues of Q^T A Q sum to the trace tau, so no graph
+has a gap above |tau|/(2n - 4), and only the flat matrix
+A* = (tau/(2n - 4)) Q Q^T reaches it.  A* is rotation-scaled blockwise, has
+zero row sums and annihilates q*, so it is the optimum of every graph on
+whose non-edges its blocks vanish: the complete graph for any formation, and
+sparser graphs only for special ones.  Those designs read their gains off A*
+and skip ADMM.
+
 Each 2 x 2 block a I + b K multiplies like the complex number a - ib, so A
 is the realification of an n x n Hermitian matrix H, and -Q^T A Q that of
 the (n-2) x (n-2) Hermitian -Q_c^H H Q_c.  ADMM runs on the Hermitian
@@ -43,6 +51,9 @@ _K2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 MAX_ITERATIONS = 20000  # ADMM iterations per design
+# A block of the flat optimum counts as zero off the graph when its entry is
+# at most FLAT_TOL |tau|/(2n-4); rounding leaves about n * 1e-16 there.
+FLAT_TOL = 1e-12
 PRIMAL_TOL = DUAL_TOL = 1e-9  # absolute ADMM stopping tolerances
 ADMM_RHO = 1.0  # ADMM penalty parameter
 
@@ -364,10 +375,14 @@ def _independent_constraints(G, h):
 class SolveInfo:
     """Metadata from one solver run, persisted alongside the gains.
 
-    ``upper_bound`` = -sum_k <W_k, Abar^k(x)>, with W the PSD part of the final
-    multiplier at unit total trace, bounds the optimal gamma from above once
-    ``bound_residual``, the part of B^T W outside range(G^T), is zero."""
+    ``algorithm`` is ``"admm"``, or ``"closed_form"`` for a flat optimum,
+    which takes 0 iterations and has gamma = ``upper_bound`` = |tau|/(2n-4).
+    For ADMM, ``upper_bound`` = -sum_k <W_k, Abar^k(x)>, with W the PSD part
+    of the final multiplier at unit total trace, bounds the optimal gamma from
+    above once ``bound_residual``, the part of B^T W outside range(G^T), is
+    zero."""
 
+    algorithm: str
     iterations: int
     gamma: float
     primal_residual: float
@@ -446,6 +461,7 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     W /= 2.0 * np.trace(W, axis1=1, axis2=2).real.sum()
     Bt_W = op.adjoint(W)
     return x, SolveInfo(
+        algorithm="admm",
         iterations=it,
         gamma=float(gamma),
         primal_residual=float(primal),
@@ -456,6 +472,25 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
     )
 
 
+def _flat_optimum(graphs: list[SensingGraph], Qc: NDArray[np.complex128], trace: float):
+    """Edge parameters of every topology read off the flat optimum
+    A* = (trace/(2n-4)) Q Q^T, or None if on some topology A* has a block
+    above FLAT_TOL |trace|/(2n-4) on a non-edge.  A* is the realification of
+    H* = (trace/(2n-4)) Q_c Q_c^H, whose entry a - ib is the block a I + b K."""
+    n = Qc.shape[0]
+    scale = trace / (2 * n - 4)
+    H = scale * (Qc @ Qc.conj().T)
+    nonzero = np.triu(np.abs(H) > FLAT_TOL * abs(scale), 1)
+    params = []
+    for g in graphs:
+        i, j = np.array(g.edge_list).T - 1  # i < j
+        if np.count_nonzero(nonzero) > np.count_nonzero(nonzero[i, j]):
+            return None
+        params.append({e: (float(h.real), float(-h.imag))
+                       for e, h in zip(g.edge_list, H[i, j])})
+    return params
+
+
 def design_joint_gains(
     graphs: list[SensingGraph],
     spec: FormationSpec,
@@ -464,7 +499,10 @@ def design_joint_gains(
 ) -> tuple[list[GainMatrix], SolveInfo]:
     """Design gains for one or more topologies that must agree wherever an
     agent cannot distinguish two of them (identical neighbor sets).  A caller
-    that already holds ``spec``'s kernel basis passes it as ``basis``."""
+    that already holds ``spec``'s kernel basis passes it as ``basis``.
+
+    When the flat optimum fits every topology it is the answer for all of
+    them at once, with no solve; otherwise ADMM designs them jointly."""
     graphs = list(graphs)
     if not graphs:
         raise DimensionError("need at least one topology")
@@ -480,6 +518,13 @@ def design_joint_gains(
         basis = build_kernel_basis(spec)
     n = spec.n
     trace_per = opts.resolved_trace(n)
+    flat = _flat_optimum(graphs, basis.Qc, trace_per)
+    if flat is not None:
+        bound = abs(trace_per) / (2 * n - 4)
+        info = SolveInfo(algorithm="closed_form", iterations=0, gamma=bound,
+                         primal_residual=0.0, dual_residual=0.0, converged=True,
+                         upper_bound=bound, bound_residual=0.0)
+        return [GainMatrix.from_edge_params(g, p) for g, p in zip(graphs, flat)], info
     pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
     G, h, range_basis = _independent_constraints(G, h)

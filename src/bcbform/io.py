@@ -316,7 +316,7 @@ def save_gains(
             }
             for gm, rep in zip(matrices, reports)
         ],
-        "solver": {"algorithm": "admm", **_plain(info)},
+        "solver": _plain(info),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

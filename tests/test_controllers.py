@@ -249,6 +249,18 @@ class TestRotation:
         assert np.allclose(R.T @ R, np.eye(2), atol=1e-12)
         assert np.linalg.det(R) == pytest.approx(1.0)
 
+    def test_matches_stacked_form(self):
+        def stacked(alpha):
+            c, s = np.cos(alpha), np.sin(alpha)
+            return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)],
+                            axis=-2)
+
+        angles = np.random.default_rng(5).uniform(-10.0, 10.0, size=(3, 7))
+        for alpha in (0.7, -2.5, angles, angles[0]):
+            R, want = rotation(alpha), stacked(alpha)
+            assert R.shape == want.shape and R.dtype == want.dtype
+            assert R.tobytes() == want.tobytes()
+
 
 class TestControllerConfig:
     def test_nonpositive_bounds_rejected(self):

@@ -217,6 +217,23 @@ class TestStackFreeFields:
         if phi_max is not None:
             assert np.any(want[:, 3] == 0.0)
 
+    @pytest.mark.parametrize("kinematic", [True, False], ids=["kinematic", "dynamic"])
+    def test_car_clamp_at_the_bound_only(self, kinematic):
+        # Agent 1 sits at the steering bound turning further out, agent 2
+        # inside it turning the same way: only agent 1's rate is zeroed.  A
+        # team wholly inside the bound takes the field without the clamp.
+        dim = 4 if kinematic else 6
+        state = np.zeros((2, dim))
+        state[:, 3] = (0.6, 0.3)
+        inputs = np.full((2, 2), 0.5)
+        if not kinematic:
+            state[:, 4:] = 0.5
+        out = deriv_car(state, inputs, 1.3, SCALAR_PARAMS, kinematic, 0.6)
+        assert_bitwise(out, stacked_car(state, inputs, 1.3, SCALAR_PARAMS, kinematic, 0.6))
+        assert out[:, 3].tolist() == [0.0, 0.5]
+        inside = deriv_car(state[1:], inputs[1:], 1.3, SCALAR_PARAMS, kinematic, 0.6)
+        assert_bitwise(inside, out[1:])
+
     def test_single_rows_keep_their_shape(self):
         p = SCALAR_PARAMS
         state = np.array([0.5, -1.0, 0.3, 0.2, 1.1, -0.4])

@@ -194,6 +194,123 @@ def dense_operator(pool, k, Qc):
     return np.array(cols).T
 
 
+def admm_design(graphs, spec, trace=None):
+    """The ADMM path of design_joint_gains, run whether or not the flat
+    optimum fits the graphs."""
+    trace = SolverOptions(trace).resolved_trace(spec.n)
+    pool = gains_mod._VariablePool(graphs)
+    G, h = gains_mod._constraints(pool, spec, trace * len(graphs))
+    G, h, range_basis = gains_mod._independent_constraints(G, h)
+    op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
+    x, info = gains_mod._admm_solve(op, G, h, range_basis)
+    mats = [GainMatrix.from_edge_params(g, pool.edge_params(k, x))
+            for k, g in enumerate(graphs)]
+    return mats, info
+
+
+def flat_bound(n, trace=None):
+    """|tau|/(2n-4), the largest gap of any graph at trace tau."""
+    return abs(SolverOptions(trace).resolved_trace(n)) / (2 * n - 4)
+
+
+SQUARE = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+class TestFlatOptimum:
+    """Graphs that carry (tau/(2n-4)) Q Q^T take it in closed form."""
+
+    @pytest.mark.parametrize("n", [9, 20, 50])
+    def test_closed_form_matches_admm_on_complete_graphs(self, n):
+        rng = np.random.default_rng(200 + n)
+        spec = FormationSpec.from_coordinates(rng.uniform(-5, 5, size=(n, 2)))
+        gm, info = design_gains(complete_graph(n), spec)
+        (ref,), ref_info = admm_design([complete_graph(n)], spec)
+        assert info.algorithm == "closed_form" and ref_info.algorithm == "admm"
+        assert ref_info.converged and ref_info.iterations > 0
+        edges = complete_graph(n).edge_list
+        got = np.array([gm.blocks[e] for e in edges])
+        want = np.array([ref.blocks[e] for e in edges])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert ref_info.gamma == pytest.approx(info.gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("n, trace", [(3, None), (6, -3.0), (12, None), (12, -50.0)])
+    def test_complete_graph_gap_is_the_bound(self, n, trace):
+        rng = np.random.default_rng(n)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(n, 2)))
+        gm, info = design_gains(complete_graph(n), spec, SolverOptions(trace))
+        bound = flat_bound(n, trace)
+        assert info.iterations == 0 and info.converged
+        assert info.gamma == info.upper_bound == bound
+        assert info.primal_residual == info.dual_residual == info.bound_residual == 0.0
+        report = verify_gains(gm, build_kernel_basis(spec))
+        assert report.passed
+        assert report.spectral_gap == pytest.approx(bound, rel=1e-12)
+        assert np.trace(gm.assembled) == pytest.approx(-2 * (n - 2) * bound, rel=1e-12)
+
+    def test_square_cycle_carries_the_flat_optimum(self):
+        # For the square, A* has zero blocks between opposite corners, so the
+        # 4-cycle reaches the bound without its diagonals.
+        spec = FormationSpec.from_coordinates(SQUARE)
+        cycle = SensingGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        gm, info = design_gains(cycle, spec)
+        (ref,), ref_info = admm_design([cycle], spec)
+        assert info.algorithm == "closed_form"
+        assert ref_info.gamma == pytest.approx(flat_bound(4), rel=1e-8)
+        assert np.max(np.abs(gm.assembled - ref.assembled)) <= 1e-8
+        # For a rhombus the cycle carries no gain matrix at all.
+        rhombus = FormationSpec.from_coordinates([(2.0, 0.0), (0.0, 1.0), (-2.0, 0.0),
+                                                  (0.0, -1.0)])
+        with pytest.raises(InfeasibleTopologyError, match="admit no solution"):
+            design_gains(cycle, rhombus)
+
+    def test_complete_graph_minus_an_edge_runs_admm(self):
+        rng = np.random.default_rng(7)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(7, 2)))
+        graph = SensingGraph(7, complete_graph(7).edges - {(2, 5)})
+        gm, info = design_gains(graph, spec)
+        assert info.algorithm == "admm" and info.iterations > 0
+        assert verify_gains(gm, build_kernel_basis(spec)).passed
+        assert info.gamma < flat_bound(7)
+
+    def test_switching9_joint_design_runs_admm(self):
+        scenario, _, _ = demo_scenario("switching9")
+        _, info = design_joint_gains(list(scenario.topologies), scenario.formation)
+        assert info.algorithm == "admm" and info.iterations > 0
+
+    def test_joint_design_over_complete_topologies_agrees(self):
+        rng = np.random.default_rng(8)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(8, 2)))
+        (first, second), info = design_joint_gains([complete_graph(8)] * 2, spec)
+        assert info.iterations == 0
+        assert first.assembled.tobytes() == second.assembled.tobytes()
+        single, _ = design_gains(complete_graph(8), spec)
+        assert first.assembled.tobytes() == single.assembled.tobytes()
+
+    def test_mixed_joint_design_runs_admm(self):
+        # The flat optimum must fit every topology of a joint design.
+        rng = np.random.default_rng(9)
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(7, 2)))
+        graphs = [complete_graph(7), SensingGraph(7, complete_graph(7).edges - {(2, 5)})]
+        mats, info = design_joint_gains(graphs, spec)
+        assert info.algorithm == "admm" and info.iterations > 0
+        basis = build_kernel_basis(spec)
+        assert all(verify_gains(gm, basis).passed for gm in mats)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2**32 - 1),
+       trace=st.one_of(st.none(), st.floats(-40.0, -0.5)))
+def test_design_gap_within_flat_bound(n, seed, trace):
+    points = spread_points(n, np.random.default_rng(seed))
+    spec = FormationSpec.from_coordinates(points)
+    gm, info = design_gains(nearest_trilateration_graph(points), spec, SolverOptions(trace))
+    report = verify_gains(gm, build_kernel_basis(spec))
+    assert report.passed
+    bound = flat_bound(n, trace)
+    assert info.gamma <= bound * (1 + 1e-9)
+    assert report.spectral_gap <= bound * (1 + 1e-9)
+
+
 class TestEdgeOperator:
     def check_against_dense(self, graphs, spec):
         Qc = build_kernel_basis(spec).Qc
@@ -254,11 +371,12 @@ class TestEdgeOperator:
     def test_complete30_peak_memory(self):
         # A dense r^2 x dim operator, with F = B Zn and F^T F built from it,
         # peaks near 75 MiB here; the edge-list operator stays near 27 MiB.
+        # design_gains takes the closed form here, so ADMM is called directly.
         rng = np.random.default_rng(30)
         spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(30, 2)))
         tracemalloc.start()
         try:
-            gm, info = design_gains(complete_graph(30), spec)
+            _, info = admm_design([complete_graph(30)], spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
