@@ -2,11 +2,11 @@
 
 The design problem maximizes the smallest eigenvalue of -Q^T A Q over gain
 matrices A that are symmetric, block-Laplacian, sparse on the sensing graph,
-annihilate the kernel basis, and have fixed trace.  ADMM splits it into an
-equality-constrained least-squares step in the edge parameters, solved
-through one factored KKT matrix, and a PSD projection.  Its dual iterate
-gives an upper bound on the optimum, so every design reports its duality
-gap.
+annihilate the kernel basis, and have fixed trace.  ADMM splits it into a
+PSD projection and a least-squares step on the null space of the equality
+constraints: one affine map, formed once from an SVD, whose memory is a few
+dim x dim arrays for dim edge parameters.  Its dual iterate gives an upper
+bound on the optimum, so every design reports its duality gap.
 
 The 2n - 4 nonzero eigenvalues of Q^T A Q sum to the trace tau, so no graph
 has a gap above |tau|/(2n - 4), and only the flat matrix
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import (
@@ -356,19 +355,17 @@ def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
 
 
 def _independent_constraints(G, h):
-    """Independent rows of G x = h, picked by a pivoted QR of G^T until its
-    diagonal falls below 1e-10 of the first entry, and a basis of range(G^T)."""
-    x0, *_ = np.linalg.lstsq(G, h, rcond=None)
+    """Least-norm solution x0 of G x = h and orthonormal bases of null(G) and
+    range(G^T), from one SVD; singular values <= 1e-10 of the largest are 0."""
+    U, S, Vt = np.linalg.svd(G)
+    rank = int(np.sum(S > 1e-10 * (S[0] if S.size else 1.0)))
+    x0 = Vt[:rank].T @ ((U[:, :rank].T @ h) / S[:rank])
     if np.linalg.norm(G @ x0 - h) > 1e-8 * (1.0 + np.linalg.norm(h)):
         raise InfeasibleTopologyError(
             "gain constraints admit no solution for this graph/formation pair; "
             "the sensing graph is likely not universally rigid"
         )
-    Q, R, piv = scipy.linalg.qr(G.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-10 * (diag[0] if diag.size else 1.0)))
-    rows = np.sort(piv[:rank])
-    return G[rows], h[rows], Q[:, :rank]
+    return x0, Vt[rank:].T, Vt[:rank].T
 
 
 @dataclass
@@ -399,39 +396,45 @@ def _psd_project(M: NDArray[np.complexfloating]) -> NDArray[np.complex128]:
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _admm_solve(op: _EdgeOperator, G, h, range_basis):
+def _x_update(op: _EdgeOperator, x0, null_basis):
+    """(P, offset) with z = P rhs + offset the minimizer of 1/2 z^T K z - rhs^T z
+    over z = (x0 + N y, gamma), N = ``null_basis``, K the Gram block of (x, gamma):
+    P = T (T^T K T)^-1 T^T, T = blockdiag(N, 1).  Memory: a few (dim + 1)^2 arrays."""
+    dim, m_top, r = op.dim, op.m, op.r
+    K = np.zeros((dim + 1, dim + 1))
+    op.gram(out=K[:dim, :dim])
+    K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(np.eye(r), (m_top, r, r)))
+    K[dim, dim] = m_top * 2 * r
+    # Tiny ridge guards rank deficiency in degenerate variable pools.
+    ridge = np.arange(dim + 1)
+    K[ridge, ridge] += 1e-12 * max(1.0, np.trace(K) / (dim + 1))
+    T = np.zeros((dim + 1, null_basis.shape[1] + 1))
+    T[:dim, :-1] = null_basis
+    T[dim, -1] = 1.0
+    z0 = np.append(x0, 0.0)
+    P = T @ np.linalg.solve(T.T @ (K @ T), T.T)
+    return P, z0 - P @ (K @ z0)
+
+
+def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
     """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, G x = h.
 
-    G has independent rows and ``range_basis`` is an orthonormal basis of
-    range(G^T).  The iterates are the (m, r, r) Hermitian stacks of
-    ``op``; every norm, trace and inner product is that of their 2r x 2r
-    realifications, so the iteration is the one on Q^T A^k(x) Q.  Each
-    (x, gamma)-update minimizes
-    -gamma + rho/2 ||B x + gamma e + Z + Y/rho||^2 subject to G x = h, whose
-    KKT matrix does not change between iterations and is factored once."""
+    x0 solves G x = h, and ``null_basis`` and ``range_basis`` are orthonormal
+    bases of null(G) and range(G^T).  The iterates are the (m, r, r) Hermitian
+    stacks of ``op``; every norm, trace and inner product is that of their
+    2r x 2r realifications, so the iteration is the one on Q^T A^k(x) Q.  Each
+    (x, gamma)-update minimizes -gamma + rho/2 ||B x + gamma e + Z + Y/rho||^2
+    subject to G x = h: the affine map of ``_x_update``, formed once."""
     dim, m_top, r = op.dim, op.m, op.r
     side = 2 * r  # of the realified matrices
     rho = ADMM_RHO
     eye = np.eye(r)
-    size = dim + 1 + G.shape[0]
-    # Built in Fortran order and factored in place: no second copy of the
-    # Gram block or of K exists at any time.
-    K = np.zeros((size, size), order="F")
-    op.gram(out=K[:dim, :dim])
-    K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(eye, (m_top, r, r)))
-    K[dim, dim] = m_top * side
-    K[:dim, dim + 1 :] = G.T
-    K[dim + 1 :, :dim] = G
-    # Tiny ridge guards rank deficiency in degenerate variable pools.
-    ridge = np.arange(dim + 1)
-    K[ridge, ridge] += 1e-12 * max(1.0, np.trace(K) / (dim + 1))
-    lu, piv = scipy.linalg.lu_factor(K, overwrite_a=True)
+    P, offset = _x_update(op, x0, null_basis)
 
     Z = np.zeros((m_top, r, r), dtype=complex)
     Y = np.zeros((m_top, r, r), dtype=complex)
     scale = np.sqrt(m_top) * side
-    rhs = np.empty(size)
-    rhs[dim + 1 :] = h
+    rhs = np.empty(dim + 1)
     primal = dual = np.inf
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
@@ -439,8 +442,7 @@ def _admm_solve(op: _EdgeOperator, G, h, range_basis):
         c = Z + Y / rho
         rhs[:dim] = -op.adjoint(c)
         rhs[dim] = 1.0 / rho - 2.0 * np.trace(c, axis1=1, axis2=2).real.sum()
-        # LAPACK directly: lu_solve's checks cost more than a small solve.
-        sol, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+        sol = P @ rhs + offset
         x, gamma = sol[:dim], sol[dim]
         shifted = op.forward(x) + gamma * eye
         # Z-update: spectral projection onto the PSD cone.
@@ -527,9 +529,9 @@ def design_joint_gains(
         return [GainMatrix.from_edge_params(g, p) for g, p in zip(graphs, flat)], info
     pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
-    G, h, range_basis = _independent_constraints(G, h)
+    x0, null_basis, range_basis = _independent_constraints(G, h)
     op = _EdgeOperator(pool, basis.Qc)
-    x, info = _admm_solve(op, G, h, range_basis)
+    x, info = _admm_solve(op, x0, null_basis, range_basis)
 
     # Exact achieved objective, independent of the solver's running estimate.
     gamma = float(np.linalg.eigvalsh(-op.forward(x))[:, 0].min())

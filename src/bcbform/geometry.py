@@ -60,6 +60,7 @@ class SensingGraph:
         if n < 1:
             raise DimensionError("agent count must be positive")
         normalized = set()
+        adj = {i: set() for i in range(1, n + 1)}
         for i, j in edges:
             i, j = int(i), int(j)
             if i == j:
@@ -67,17 +68,18 @@ class SensingGraph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise DimensionError(f"edge ({i},{j}) out of range 1..{n}")
             normalized.add((min(i, j), max(i, j)))
+            adj[i].add(j)
+            adj[j].add(i)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "_neighbors", {i: frozenset(s) for i, s in adj.items()})
 
     @property
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(
-            b if a == i else a for a, b in self.edges if i in (a, b)
-        )
+        return self._neighbors.get(i, frozenset())
 
     def degree_sequence(self) -> list[int]:
         return [len(self.neighbors(i)) for i in range(1, self.n + 1)]

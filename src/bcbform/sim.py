@@ -689,7 +689,8 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
 
     rng = np.random.default_rng(scenario.sim.seed)
     states = _initial_states(scenario, rng)
-    steps = int(math.floor(scenario.sim.t_final / dt)) + 1
+    # Within 1e-9 of a whole number of steps is that number (0.3 / 0.1 < 3).
+    steps = int(math.floor(scenario.sim.t_final / dt + 1e-9)) + 1
 
     t_arr = np.arange(steps) * dt
     states_log = np.zeros((steps, n, dim))

@@ -3,11 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import bcbform
 from bcbform import cli as cli_module
 from bcbform import gains as gains_module
 from bcbform import sim as sim_module
@@ -505,6 +510,24 @@ class TestDemo:
                      "unicycle9", "car9"):
             scenario, names, _ = demo_scenario(name)
             assert len(names) == len(scenario.topologies)
+
+    def test_design_and_simulate_load_no_scipy(self, tmp_path):
+        # switching9's joint design runs ADMM; the demo then simulates it.
+        # A fresh process, so that no other test's imports count.
+        script = (
+            "import sys\n"
+            "from bcbform.cli import main\n"
+            "assert main(['demo', 'switching9', '--quiet']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(bcbform.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "switching9.csv").exists()
 
     def test_dt_beyond_stability_bound_refused_before_stepping(self, workdir, capsys):
         # The hexagon gains have spectral radius 4/3: dt must stay below 1.5.

@@ -200,12 +200,96 @@ def admm_design(graphs, spec, trace=None):
     trace = SolverOptions(trace).resolved_trace(spec.n)
     pool = gains_mod._VariablePool(graphs)
     G, h = gains_mod._constraints(pool, spec, trace * len(graphs))
-    G, h, range_basis = gains_mod._independent_constraints(G, h)
     op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
-    x, info = gains_mod._admm_solve(op, G, h, range_basis)
+    x, info = gains_mod._admm_solve(op, *gains_mod._independent_constraints(G, h))
     mats = [GainMatrix.from_edge_params(g, pool.edge_params(k, x))
             for k, g in enumerate(graphs)]
     return mats, info
+
+
+def constraint_system(case):
+    """Pool, formation, G and h of circulant18 or of the switching9 joint design."""
+    if case == "switching9":
+        scenario, _, _ = demo_scenario("switching9")
+        graphs, spec = list(scenario.topologies), scenario.formation
+    else:
+        rng = np.random.default_rng(18)
+        graphs = [circulant_graph(18)]
+        spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(18, 2)))
+    pool = gains_mod._VariablePool(graphs)
+    trace = SolverOptions().resolved_trace(spec.n) * len(graphs)
+    G, h = gains_mod._constraints(pool, spec, trace)
+    return pool, spec, G, h
+
+
+def independent_rows(G):
+    """Rows of G picked in order while each raises the rank."""
+    rows = []
+    for i in range(G.shape[0]):
+        if np.linalg.matrix_rank(G[rows + [i]]) > len(rows):
+            rows.append(i)
+    return rows
+
+
+class TestConstraintSpace:
+    """x0 + N y spans the solutions of G x = h, and the x-update on it is
+    the KKT solve it replaces."""
+
+    @pytest.mark.parametrize("case", ["circulant18", "switching9"])
+    def test_null_space_and_particular_solution(self, case):
+        _, _, G, h = constraint_system(case)
+        x0, N, range_basis = gains_mod._independent_constraints(G, h)
+        scale = np.max(np.abs(G))
+        assert np.max(np.abs(G @ N)) <= 1e-12 * scale
+        assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-12
+        assert np.max(np.abs(G @ x0 - h)) <= 1e-12 * np.max(np.abs(h))
+        rank = len(independent_rows(G))
+        assert range_basis.shape == (G.shape[1], rank)
+        assert N.shape == (G.shape[1], G.shape[1] - rank)
+        assert np.max(np.abs(range_basis.T @ N)) <= 1e-12
+
+    def test_redundant_rows_change_nothing(self):
+        _, _, G, h = constraint_system("circulant18")
+        x0, N, _ = gains_mod._independent_constraints(G, h)
+        G2 = np.vstack([G, G[:10], 2.0 * G[3:4] - G[5:6]])
+        h2 = np.concatenate([h, h[:10], 2.0 * h[3:4] - h[5:6]])
+        x0_2, N2, _ = gains_mod._independent_constraints(G2, h2)
+        assert N2.shape == N.shape
+        assert np.max(np.abs(N2 @ N2.T - N @ N.T)) <= 1e-12
+        assert np.max(np.abs(x0_2 - x0)) <= 1e-12 * np.max(np.abs(x0))
+
+    def test_inconsistent_constraints_refused(self):
+        _, _, G, h = constraint_system("circulant18")
+        G2, h2 = np.vstack([G, G[:1]]), np.append(h, h[0] + 1.0)
+        with pytest.raises(InfeasibleTopologyError,
+                           match="gain constraints admit no solution for this "
+                                 "graph/formation pair; the sensing graph is likely "
+                                 "not universally rigid"):
+            gains_mod._independent_constraints(G2, h2)
+
+    @pytest.mark.parametrize("case", ["circulant18", "switching9"])
+    def test_x_update_matches_dense_kkt_solve(self, case):
+        pool, spec, G, h = constraint_system(case)
+        x0, N, _ = gains_mod._independent_constraints(G, h)
+        op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
+        P, offset = gains_mod._x_update(op, x0, N)
+        # The KKT matrix of the constrained least squares: the Gram block of
+        # (x, gamma) with its ridge, bordered by independent rows of G.
+        dim, r, m = op.dim, op.r, op.m
+        K = np.zeros((dim + 1, dim + 1))
+        K[:dim, :dim] = op.gram()
+        K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(np.eye(r), (m, r, r)))
+        K[dim, dim] = m * 2 * r
+        K += 1e-12 * max(1.0, np.trace(K) / (dim + 1)) * np.eye(dim + 1)
+        rows = independent_rows(G)
+        Gz = np.hstack([G[rows], np.zeros((len(rows), 1))])
+        kkt = np.block([[K, Gz.T], [Gz, np.zeros((len(rows), len(rows)))]])
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            rhs = rng.normal(size=dim + 1)
+            ref = np.linalg.solve(kkt, np.concatenate([rhs, h[rows]]))[: dim + 1]
+            got = P @ rhs + offset
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def flat_bound(n, trace=None):

@@ -169,6 +169,15 @@ class TestRun:
         assert np.array_equal(a.commands, b.commands)
         assert a.summary.convergence_time == b.summary.convergence_time
 
+    @pytest.mark.parametrize("t_final", [0.3, 0.7])
+    def test_whole_horizon_keeps_its_last_sample(self, hex_gains, t_final):
+        # t_final / dt rounds below the whole number of steps in both cases.
+        assert t_final / 0.1 < round(t_final / 0.1)
+        scenario, _ = hexagon_scenario(sim=SimConfig(dt=0.1, t_final=t_final))
+        log = run(scenario, hex_gains)
+        assert log.t.size == round(t_final / 0.1) + 1
+        assert log.t[-1] == pytest.approx(t_final)
+
     def test_different_seed_differs(self, hex_gains):
         s1, _ = hexagon_scenario(sim=SimConfig(t_final=5.0, seed=1))
         s2, _ = hexagon_scenario(sim=SimConfig(t_final=5.0, seed=2))
