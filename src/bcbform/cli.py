@@ -173,9 +173,10 @@ def cmd_verify(args) -> int:
         return EXIT_INFEASIBLE
     code = EXIT_OK
     for k, (rep, roots, failure) in enumerate(checks):
+        passed = failure is None or roots is not None  # roots: the matrix passed
         _say(args.quiet, f"topology {k}: zero_count={rep.zero_count} "
              f"gap={rep.spectral_gap:.6g} kernel_residual={rep.kernel_residual:.3g} "
-             f"{'PASS' if rep.passed else 'FAIL'}")
+             f"{'PASS' if passed else 'FAIL'}")
         if roots is not None:
             _say(args.quiet, f"topology {k}: chain root check "
                  f"{'PASS' if roots.passed else 'FAIL'} "

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigurationError, GuaranteeViolationError
 from .gains import GainMatrix
-from .geometry import SensingGraph, row_dot, row_norms
+from .geometry import row_dot, row_norms
 
 
 def rotation(alpha) -> NDArray[np.float64]:
@@ -140,25 +140,16 @@ class _EdgeArrays:
         return rng.uniform(-bound, bound, size=(orders * n_edges, 2))[self.draw_rows]
 
 
-def _edge_arrays(
-    graph: SensingGraph, gm: GainMatrix, scale: ScaleConfig | None, orders: int
-) -> _EdgeArrays:
-    """Edge arrays for ``graph``; ``orders`` relative measurements per edge."""
-    src, dst, blocks, d_star = [], [], [], []
-    for i in range(1, graph.n + 1):
-        row = gm.block_row(i)
-        for j in sorted(graph.neighbors(i)):
-            if j not in row:
-                raise ConfigurationError(f"no gain block for neighbor {j}")
-            src.append(i - 1)
-            dst.append(j - 1)
-            blocks.append(row[j])
-            if scale is not None:
-                key = (min(i, j), max(i, j))
-                if key not in scale.d_star:
-                    raise ConfigurationError(f"no desired distance for edge {key}")
-                d_star.append(scale.d_star[key])
-    src = np.array(src, dtype=np.intp)
+def _edge_arrays(gm: GainMatrix, scale: ScaleConfig | None, orders: int) -> _EdgeArrays:
+    """Edge arrays of ``gm``'s topology; ``orders`` relative measurements per edge."""
+    graph = gm.graph
+    src, dst, edge = graph.directed_edges()
+    d_star = None
+    if scale is not None:
+        missing = sorted(set(graph.edge_list) - scale.d_star.keys())
+        if missing:
+            raise ConfigurationError(f"no desired distance for edge {missing[0]}")
+        d_star = np.fromiter(map(scale.d_star.get, graph.edge_list), np.float64)[edge]
     # Noise is drawn agent by agent: all position measurements of an agent,
     # then each derivative order's, before the next agent's.
     first = np.searchsorted(src, src)
@@ -169,9 +160,9 @@ def _edge_arrays(
     return _EdgeArrays(
         src=src,
         scatter=(2 * src[:, None] + np.arange(2)).ravel(),
-        dst=np.array(dst, dtype=np.intp),
-        blocks=np.array(blocks).reshape(-1, 2, 2),
-        d_star=np.array(d_star) if scale is not None else None,
+        dst=dst,
+        blocks=gm.directed_blocks(),
+        d_star=d_star,
         draw_rows=draw_rows,
     )
 

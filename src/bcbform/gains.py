@@ -97,46 +97,50 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class GainMatrix:
-    """Symmetric block-Laplacian gain matrix over a sensing graph.
+    """Block-Laplacian gain matrix over a sensing graph.
 
-    ``blocks`` maps each ordered neighbor pair (i, j) to its (a_ij, b_ij)
-    parameters; the assembled dense matrix is cached alongside.
+    ``params`` is the read-only (E, 2) array of (a_ij, b_ij), one row per edge
+    of ``graph.edge_list`` (i < j): agent i weighs agent j through the block
+    a I + b K, and j weighs i through a I - b K.  The assembled dense matrix
+    is built once, at construction.  It is symmetric when each agent's signed
+    sum_j b_ij is zero, as designs make it and ``sim.check_gains`` checks.
     """
 
-    n: int
-    blocks: dict[tuple[int, int], tuple[float, float]]
-    assembled: NDArray[np.float64] = field(repr=False)
+    graph: SensingGraph
+    params: NDArray[np.float64]
+    assembled: NDArray[np.float64] = field(init=False, repr=False)
 
-    @classmethod
-    def from_edge_params(
-        cls, graph: SensingGraph, params: dict[tuple[int, int], tuple[float, float]]
-    ) -> "GainMatrix":
-        """Assemble from per-edge (a, b) values keyed by sorted edge (i < j)."""
-        n = graph.n
-        blocks: dict[tuple[int, int], tuple[float, float]] = {}
+    def __post_init__(self):
+        params = np.array(self.params, dtype=np.float64)
+        if params.shape != (len(self.graph.edge_list), 2):
+            raise DimensionError(f"gain parameters of shape {params.shape} for "
+                                 f"{len(self.graph.edge_list)} edges; expected one "
+                                 "(a, b) row per edge")
+        params.setflags(write=False)
+        object.__setattr__(self, "params", params)
+        # Each off-diagonal block is written once and each diagonal block is
+        # minus its row's sum in neighbor order, onto 0.0 like a sum into zeros.
+        n = self.n
+        src, dst, _ = self.graph.directed_edges()
+        blocks = self.directed_blocks()
         A = np.zeros((2 * n, 2 * n))
-        for (i, j) in graph.edge_list:
-            a, b = params[(i, j)]
-            blocks[(i, j)] = (a, b)
-            blocks[(j, i)] = (a, -b)
-            bij = a * _I2 + b * _K2
-            si, sj = 2 * (i - 1), 2 * (j - 1)
-            A[si : si + 2, sj : sj + 2] += bij
-            A[sj : sj + 2, si : si + 2] += bij.T
-            A[si : si + 2, si : si + 2] -= bij
-            A[sj : sj + 2, sj : sj + 2] -= bij.T
-        return cls(n=n, blocks=blocks, assembled=A)
+        grid = A.reshape(n, 2, n, 2).swapaxes(1, 2)  # grid[i, j] is block (i, j)
+        grid[src, dst] = 0.0 + blocks
+        scatter = (4 * src[:, None] + np.arange(4)).ravel()
+        row_sums = np.bincount(scatter, blocks.ravel(), 4 * n).reshape(n, 2, 2)
+        grid[range(n), range(n)] = 0.0 - row_sums
+        object.__setattr__(self, "assembled", A)
 
-    def block_row(self, i: int) -> dict[int, NDArray[np.float64]]:
-        """Off-diagonal 2x2 gain blocks of agent ``i`` keyed by neighbor index."""
-        out = {}
-        for (a_idx, b_idx), (a, b) in self.blocks.items():
-            if a_idx == i:
-                out[b_idx] = a * _I2 + b * _K2
-        return out
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
-    def edge_params(self) -> dict[tuple[int, int], tuple[float, float]]:
-        return {k: v for k, v in self.blocks.items() if k[0] < k[1]}
+    def directed_blocks(self) -> NDArray[np.float64]:
+        """(2E, 2, 2) gain blocks A_src,dst of ``graph.directed_edges()``."""
+        src, dst, edge = self.graph.directed_edges()
+        a, b = self.params[edge].T
+        b = np.where(src < dst, b, -b)
+        return a[:, None, None] * _I2 + b[:, None, None] * _K2
 
 
 def verify_gains(A: GainMatrix | NDArray[np.floating], basis: KernelBasis) -> SpectrumReport:
@@ -198,29 +202,20 @@ class _VariablePool:
                             e = (min(i, j), max(i, j))
                             union((k, e), (l, e))
 
-        roots = sorted({find(key) for key in keys})
-        self.class_index = {root: c for c, root in enumerate(roots)}
-        self.key_class = {key: self.class_index[find(key)] for key in keys}
-        self.n_classes = len(roots)
-        self.dim = 2 * self.n_classes  # (a, b) per class
+        # Classes are numbered by their roots, each the class's first key.
+        class_index = {}
+        key_class = [class_index.setdefault(find(key), len(class_index)) for key in keys]
+        self.n_classes = len(class_index)
+        self.dim = 2 * self.n_classes  # (a, b) per class: x[2c], x[2c + 1]
+        # Class of every edge of each topology, aligned with its edge_list.
+        self.classes = np.split(np.array(key_class, dtype=np.intp),
+                                np.cumsum([len(g.edge_list) for g in graphs])[:-1])
         # Members per class, for reporting tie groups.
         self.class_members: list[list[tuple[int, tuple[int, int]]]] = [
             [] for _ in range(self.n_classes)
         ]
-        for key, c in self.key_class.items():
+        for key, c in zip(keys, key_class):
             self.class_members[c].append(key)
-
-    def a_index(self, key) -> int:
-        return 2 * self.key_class[key]
-
-    def b_index(self, key) -> int:
-        return 2 * self.key_class[key] + 1
-
-    def edge_params(self, k: int, x: NDArray[np.float64]):
-        return {
-            e: (float(x[self.a_index((k, e))]), float(x[self.b_index((k, e))]))
-            for e in self.graphs[k].edge_list
-        }
 
 
 class _EdgeOperator:
@@ -253,14 +248,13 @@ class _EdgeOperator:
         coef = np.zeros((m, 2, count), dtype=complex)
         self.parts = []  # unpadded (L, R, index, coef) per topology
         for k, g in enumerate(pool.graphs):
-            edges = g.edge_list
-            ne = len(edges)
-            i, j = np.array(edges).T - 1
+            ne = len(g.edge_list)
+            i, j = g.edge_index()
             D = Qc[j] - Qc[i]
             left[k, 0, :ne] = right[k, 0, :ne] = right[k, 1, :ne] = D
             left[k, 1, :ne] = Qc[i] + Qc[j]
-            index[k, 0, :ne] = [pool.a_index((k, e)) for e in edges]
-            index[k, 1, :ne] = [pool.b_index((k, e)) for e in edges]
+            index[k, 0, :ne] = 2 * pool.classes[k]
+            index[k, 1, :ne] = 2 * pool.classes[k] + 1
             coef[k, 0, :ne] = -1.0
             coef[k, 1, :ne] = -1j
             self.parts.append((
@@ -316,42 +310,34 @@ class _EdgeOperator:
 
 
 def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
-    """Rows G x = h: kernel annihilation, diagonal symmetry, total trace."""
+    """Rows G x = h: per topology, two kernel rows per agent with neighbors,
+    block i of A^k q* = sum_j (a I + b K)(q*_j - q*_i) = 0, then one diagonal
+    symmetry row each, sum_j b_ij = 0 with b oriented along i < j; last, the
+    total trace, -4 a per edge of each topology.  A class enters a topology's
+    row through one edge only, so each entry is written once, as 0.0 + v."""
     n = pool.n
     q_star = spec.q_star.reshape(n, 2)
-    rows, rhs = [], []
+    parts = []
     for k, g in enumerate(pool.graphs):
-        # A^k q* = 0: block i of A q* = sum_j (a I + b K)(q*_j - q*_i), two
-        # rows per agent, then diagonal-block symmetry: sum_j b_ij = 0.
-        kernel, symmetry = [], []
-        for i in range(1, n + 1):
-            neigh = g.neighbors(i)
-            if not neigh:
-                continue
-            r0, r1, r2 = np.zeros((3, pool.dim))
-            for j in neigh:
-                e = (min(i, j), max(i, j))
-                a, b = pool.a_index((k, e)), pool.b_index((k, e))
-                d = q_star[j - 1] - q_star[i - 1]
-                sign = 1.0 if i < j else -1.0  # b is oriented along i < j
-                kd = _K2 @ d
-                r0[a] += d[0]
-                r0[b] += sign * kd[0]
-                r1[a] += d[1]
-                r1[b] += sign * kd[1]
-                r2[b] += sign
-            kernel += [r0, r1]
-            symmetry.append(r2)
-        rows += kernel + symmetry
-        rhs += [0.0] * (len(kernel) + len(symmetry))
-    # Total trace: each edge instance contributes -4 a.
-    r0 = np.zeros(pool.dim)
-    for k, g in enumerate(pool.graphs):
-        for e in g.edge_list:
-            r0[pool.a_index((k, e))] += -4.0
-    rows.append(r0)
-    rhs.append(trace_total)
-    return np.array(rows), np.array(rhs)
+        src, dst, edge = g.directed_edges()
+        sensing = np.bincount(src, minlength=n) > 0
+        rows = np.cumsum(sensing)[src] - 1  # rank of src among sensing agents
+        m = int(np.count_nonzero(sensing))
+        d = q_star[dst] - q_star[src]
+        kd = d @ _K2.T
+        sign = np.where(src < dst, 1.0, -1.0)
+        a = 2 * pool.classes[k][edge]
+        Gk = np.zeros((3 * m, pool.dim))
+        Gk[np.concatenate([2 * rows, 2 * rows + 1, 2 * rows, 2 * rows + 1, 2 * m + rows]),
+           np.concatenate([a, a, a + 1, a + 1, a + 1])] = 0.0 + np.concatenate(
+            [d[:, 0], d[:, 1], sign * kd[:, 0], sign * kd[:, 1], sign])
+        parts.append(Gk)
+    trace_row = np.zeros((1, pool.dim))
+    np.add.at(trace_row[0], 2 * np.concatenate(pool.classes), -4.0)
+    G = np.vstack(parts + [trace_row])
+    h = np.zeros(len(G))
+    h[-1] = trace_total
+    return G, h
 
 
 def _independent_constraints(G, h):
@@ -475,7 +461,7 @@ def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
 
 
 def _flat_optimum(graphs: list[SensingGraph], Qc: NDArray[np.complex128], trace: float):
-    """Edge parameters of every topology read off the flat optimum
+    """(E, 2) edge parameters of every topology read off the flat optimum
     A* = (trace/(2n-4)) Q Q^T, or None if on some topology A* has a block
     above FLAT_TOL |trace|/(2n-4) on a non-edge.  A* is the realification of
     H* = (trace/(2n-4)) Q_c Q_c^H, whose entry a - ib is the block a I + b K."""
@@ -485,11 +471,10 @@ def _flat_optimum(graphs: list[SensingGraph], Qc: NDArray[np.complex128], trace:
     nonzero = np.triu(np.abs(H) > FLAT_TOL * abs(scale), 1)
     params = []
     for g in graphs:
-        i, j = np.array(g.edge_list).T - 1  # i < j
+        i, j = g.edge_index()
         if np.count_nonzero(nonzero) > np.count_nonzero(nonzero[i, j]):
             return None
-        params.append({e: (float(h.real), float(-h.imag))
-                       for e, h in zip(g.edge_list, H[i, j])})
+        params.append(np.column_stack([H[i, j].real, -H[i, j].imag]))
     return params
 
 
@@ -526,7 +511,7 @@ def design_joint_gains(
         info = SolveInfo(algorithm="closed_form", iterations=0, gamma=bound,
                          primal_residual=0.0, dual_residual=0.0, converged=True,
                          upper_bound=bound, bound_residual=0.0)
-        return [GainMatrix.from_edge_params(g, p) for g, p in zip(graphs, flat)], info
+        return [GainMatrix(g, p) for g, p in zip(graphs, flat)], info
     pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
     x0, null_basis, range_basis = _independent_constraints(G, h)
@@ -561,11 +546,7 @@ def design_joint_gains(
             primal_residual=info.primal_residual,
             dual_residual=info.dual_residual,
         )
-    mats = [
-        GainMatrix.from_edge_params(pool.graphs[k], pool.edge_params(k, x))
-        for k in range(len(pool.graphs))
-    ]
-    return mats, info
+    return [GainMatrix(g, x.reshape(-1, 2)[c]) for g, c in zip(pool.graphs, pool.classes)], info
 
 
 def design_gains(

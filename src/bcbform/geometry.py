@@ -50,7 +50,8 @@ class SensingGraph:
     """Undirected sensing topology over ``n`` agents.
 
     Edges are stored as a frozenset of sorted 1-based index pairs, so the
-    graph is symmetric and duplicate-free by construction.
+    graph is symmetric and duplicate-free by construction; ``edge_list``
+    holds them in sorted order, built once like the neighbor sets.
     """
 
     n: int
@@ -72,11 +73,20 @@ class SensingGraph:
             adj[j].add(i)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "edge_list", tuple(sorted(normalized)))
         object.__setattr__(self, "_neighbors", {i: frozenset(s) for i, s in adj.items()})
 
-    @property
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+    def edge_index(self) -> NDArray[np.intp]:
+        """(2, E) array of the 0-based endpoints i < j of ``edge_list``."""
+        return np.array(self.edge_list, dtype=np.intp).reshape(-1, 2).T - 1
+
+    def directed_edges(self) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+        """Both directions of every edge, agent-major with neighbors ascending:
+        0-based (src, dst) and the row of ``edge_list`` each one comes from."""
+        i, j = self.edge_index()
+        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], order % i.size
 
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors.get(i, frozenset())

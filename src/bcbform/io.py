@@ -307,11 +307,8 @@ def save_gains(
         "trace_budget": float(trace_budget),
         "matrices": [
             {
-                "edges": [
-                    [int(i), int(j), float(a), float(b)]
-                    for (i, j), (a, b) in sorted(gm.blocks.items())
-                    if i < j
-                ],
+                "edges": [[i, j, a, b] for (i, j), (a, b)
+                          in zip(gm.graph.edge_list, gm.params.tolist())],
                 "spectrum": {**_plain(rep), "passed": bool(rep.passed)},
             }
             for gm, rep in zip(matrices, reports)
@@ -341,9 +338,13 @@ def load_gains(path: str) -> tuple[list[GainMatrix], dict]:
         _check_keys(entry, {"edges", "spectrum"}, "gains.matrices[]", ("edges",))
         rows = [_row(e, 4, where) for e in _typed(entry["edges"], list, where)]
         edges = [_numbers(row[:2], where, int) for row in rows]
-        values = [_numbers(row[2:], where) for row in rows]
+        values = np.array([_numbers(row[2:], where) for row in rows]).reshape(-1, 2)
         if any(i >= j for i, j in edges):
             raise ConfigurationError(f"every {where} row [i, j, a, b] needs i < j")
         graph = SensingGraph(n, edges)
-        matrices.append(GainMatrix.from_edge_params(graph, dict(zip(edges, values))))
+        if len(graph.edge_list) < len(edges):
+            twice = next(e for k, e in enumerate(edges) if e in edges[:k])
+            raise ConfigurationError(f"{where} has two rows for edge {twice}")
+        i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T  # rows go in (i, j) order
+        matrices.append(GainMatrix(graph, values[np.lexsort((j, i))]))
     return matrices, doc

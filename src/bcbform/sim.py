@@ -593,23 +593,41 @@ def _quadratic_values(q: NDArray[np.float64], topo: NDArray[np.int64], gains):
 
 def check_gains(scenario: Scenario, gains: list[GainMatrix], basis: KernelBasis):
     """Admission test per topology: (spectrum report, chain root report or None,
-    failure message or None).  The spectrum needs four zero eigenvalues and the
-    rest negative; chain agents, once it passes, also need every closed-loop
-    root in the open left half-plane."""
+    failure message or None).  Gains over another agent count or edge set than
+    their topology's are refused outright.  The assembled matrix must be
+    symmetric to the report's zero tolerance, with four zero eigenvalues and the
+    rest negative; chain agents then also need every closed-loop root in the
+    open left half-plane."""
     if len(gains) != len(scenario.topologies):
         raise ConfigurationError(
             f"{len(gains)} gain matrices for {len(scenario.topologies)} topologies"
         )
     n = scenario.formation.n
-    for gm in gains:
+    for k, (gm, graph) in enumerate(zip(gains, scenario.topologies)):
         if gm.n != n:
             raise ConfigurationError(f"gain matrices for {gm.n} agents, scenario has {n}")
+        differ = sorted(graph.edges ^ gm.graph.edges)
+        if differ:
+            e = differ[0]
+            raise ConfigurationError(f"topology {k}: the gains have " + (
+                f"no gain block for edge {e}" if e in graph.edges
+                else f"a block for edge {e}, which is not in the scenario's graph"))
     cfg = scenario.controller
     out = []
     for k, gm in enumerate(gains):
         report = verify_gains(gm, basis)
+        A = gm.assembled
+        skew = np.abs(A - A.T).max(axis=1)
+        skewed = np.flatnonzero(skew > report.zero_tolerance)
         roots = failure = None
-        if not report.passed:
+        if skewed.size:
+            # Off-diagonal blocks mirror each other: the skew is in a diagonal
+            # block -(sum_j a_ij) I - (sum_j b_ij) K, whose (2, 1) entry is sum_j b_ij.
+            i = skewed[0] // 2
+            failure = (f"topology {k}: assembled gain matrix is not symmetric "
+                       f"(max |A - A^T| = {skew.max():.2e} > {report.zero_tolerance:.2e}); "
+                       f"agent {i + 1} has signed sum_j b_ij = {A[2*i + 1, 2*i]:.3e}, not 0")
+        elif not report.passed:
             failure = (f"topology {k}: spectrum verification failed "
                        f"(zero_count={report.zero_count}, "
                        f"kernel_residual={report.kernel_residual:.2e})")
@@ -668,10 +686,7 @@ def run(scenario: Scenario, gains: list[GainMatrix]) -> TrajectoryLog:
             )
     full_A = chain and cfg.chain_variant == "full_A"
     orders = model.chain_order + 1 if full_A else 1
-    edges = [
-        ctl._edge_arrays(g, gm, cfg.scale, orders)
-        for g, gm in zip(scenario.topologies, gains)
-    ]
+    edges = [ctl._edge_arrays(gm, cfg.scale, orders) for gm in gains]
     dim = model.state_dim()
     step = _build_step(scenario)
     avoidance = scenario.avoidance

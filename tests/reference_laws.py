@@ -7,7 +7,10 @@ them.
 whole team at once; the tests compare them with these, and build small star
 graphs for cases that can be checked by hand.  The closed-loop matrices and
 the schedule lookup at the end are dense references for the gain checks and
-the simulator.
+the simulator, and the edge-by-edge builders after them (gain matrix
+assembly, per-agent edge arrays, design constraint rows) are the loops that
+the array code of ``bcbform.gains`` and ``bcbform.controllers`` must match
+bit for bit.
 """
 
 import math
@@ -21,12 +24,16 @@ from bcbform.gains import GainMatrix
 from bcbform.geometry import SensingGraph
 
 
+_I2 = np.eye(2)
+_K2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def star_edges(blocks, scale=None, orders=1):
     """Edge arrays of a star: agent 1 senses each agent j of ``blocks``
     through the rotation-scaled block ``blocks[j]``."""
     graph = SensingGraph(max(blocks), [(1, j) for j in blocks])
-    params = {(1, j): (float(B[0][0]), float(B[0][1])) for j, B in blocks.items()}
-    return _edge_arrays(graph, GainMatrix.from_edge_params(graph, params), scale, orders)
+    params = [(float(blocks[j][0][0]), float(blocks[j][0][1])) for _, j in graph.edge_list]
+    return _edge_arrays(GainMatrix(graph, params), scale, orders)
 
 
 def consensus_term(rel_positions, gain_blocks):
@@ -204,3 +211,87 @@ def active_topology(schedule, t):
         if t_k <= t:
             index = k
     return index
+
+
+def block_row(gm, i):
+    """Off-diagonal 2x2 gain blocks of agent ``i`` keyed by neighbor index:
+    a I + b K towards j > i, and a I - b K towards j < i."""
+    out = {}
+    for (p, q), (a, b) in zip(gm.graph.edge_list, gm.params.tolist()):
+        if p == i:
+            out[q] = a * _I2 + b * _K2
+        elif q == i:
+            out[p] = a * _I2 + (-b) * _K2
+    return out
+
+
+def assemble(gm):
+    """Dense 2n x 2n gain matrix of ``gm``, summed edge by edge in edge-list
+    order."""
+    n = gm.n
+    A = np.zeros((2 * n, 2 * n))
+    for (i, j), (a, b) in zip(gm.graph.edge_list, gm.params.tolist()):
+        bij = a * _I2 + b * _K2
+        si, sj = 2 * (i - 1), 2 * (j - 1)
+        A[si : si + 2, sj : sj + 2] += bij
+        A[sj : sj + 2, si : si + 2] += bij.T
+        A[si : si + 2, si : si + 2] -= bij
+        A[sj : sj + 2, sj : sj + 2] -= bij.T
+    return A
+
+
+def edge_arrays(gm, scale):
+    """(src, dst, blocks, d_star) of the directed edges of ``gm``, built agent
+    by agent over each agent's sorted neighbors."""
+    graph = gm.graph
+    src, dst, blocks, d_star = [], [], [], []
+    for i in range(1, graph.n + 1):
+        row = block_row(gm, i)
+        for j in sorted(graph.neighbors(i)):
+            src.append(i - 1)
+            dst.append(j - 1)
+            blocks.append(row[j])
+            if scale is not None:
+                d_star.append(scale.d_star[(min(i, j), max(i, j))])
+    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+            np.array(blocks).reshape(-1, 2, 2),
+            np.array(d_star) if scale is not None else None)
+
+
+def constraint_rows(pool, spec, trace_total):
+    """G and h of the gain design's equality constraints, entry by entry: per
+    topology, two kernel rows per agent with neighbors, then one symmetry row
+    each, and the total-trace row last."""
+    n = pool.n
+    q_star = spec.q_star.reshape(n, 2)
+    rows, rhs = [], []
+    for k, g in enumerate(pool.graphs):
+        column = {e: 2 * int(c) for e, c in zip(g.edge_list, pool.classes[k])}
+        kernel, symmetry = [], []
+        for i in range(1, n + 1):
+            neigh = g.neighbors(i)
+            if not neigh:
+                continue
+            r0, r1, r2 = np.zeros((3, pool.dim))
+            for j in neigh:
+                a = column[(min(i, j), max(i, j))]
+                b = a + 1
+                d = q_star[j - 1] - q_star[i - 1]
+                sign = 1.0 if i < j else -1.0
+                kd = _K2 @ d
+                r0[a] += d[0]
+                r0[b] += sign * kd[0]
+                r1[a] += d[1]
+                r1[b] += sign * kd[1]
+                r2[b] += sign
+            kernel += [r0, r1]
+            symmetry.append(r2)
+        rows += kernel + symmetry
+        rhs += [0.0] * (len(kernel) + len(symmetry))
+    r0 = np.zeros(pool.dim)
+    for k, g in enumerate(pool.graphs):
+        for c in pool.classes[k]:
+            r0[2 * c] += -4.0
+    rows.append(r0)
+    rhs.append(trace_total)
+    return np.array(rows), np.array(rhs)

@@ -202,7 +202,7 @@ class TestCriterion05Robustness:
         for seed in range(20):
             base = hexagon_scenario(sim=SimConfig(t_final=60.0, seed=seed))
             states = _initial_states(base, np.random.default_rng(seed))
-            edges = _edge_arrays(base.topologies[0], hex_gains[0], None, 1)
+            edges = _edge_arrays(hex_gains[0], None, 1)
             u0 = float(np.max(np.linalg.norm(consensus_term(edges, states)[0], axis=1)))
             scenario = hexagon_scenario(
                 controller=ControllerConfig(u_max=0.1 * u0),
@@ -416,7 +416,9 @@ class TestCriterion10Switching:
                         if topos[a].neighbors(i) == topos[b].neighbors(i)}
                 for (i, j) in set(topos[a].edges) & set(topos[b].edges):
                     if i in tied and j in tied:
-                        ok &= mats[a].blocks[(i, j)] == mats[b].blocks[(i, j)]
+                        row_a = mats[a].graph.edge_list.index((i, j))
+                        row_b = mats[b].graph.edge_list.index((i, j))
+                        ok &= mats[a].params[row_a].tobytes() == mats[b].params[row_b].tobytes()
         for seed in range(10):
             rng = np.random.default_rng(2000 + seed)
             times = np.sort(rng.uniform(1.0, 40.0, size=6))

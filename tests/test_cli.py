@@ -75,6 +75,10 @@ MALFORMED = {
     "three_element_gain_edge": (
         "gains", lambda d: d["matrices"][0]["edges"].__setitem__(0, [1, 2, 0.5]),
         "edges entry [1, 2, 0.5]"),
+    "duplicate_gain_edge": (
+        "gains", lambda d: d["matrices"][0]["edges"].append(
+            [1, 2, d["matrices"][0]["edges"][0][2] + 5.0, d["matrices"][0]["edges"][0][3]]),
+        "gains.matrices[].edges has two rows for edge (1, 2)"),
     "formation_not_a_mapping": (
         "scenario", lambda d: d.update(formation=5), "formation must be of type dict; got 5"),
     "schedule_not_a_list": (
@@ -383,6 +387,38 @@ class TestVerify:
         assert all(line.startswith("error:") and "3 agents" in line and "has 6" in line
                    for line in err)
         assert not (workdir / "out.csv").exists()
+
+    def test_gains_for_other_graph_refused(self, workdir, capsys):
+        # Gains designed on K6 for the triangle formation, which senses on
+        # triangle6: the first edge of K6 that triangle6 lacks is (1, 4).
+        scenario, names, _ = demo_scenario("triangle")
+        save_scenario("triangle.yaml", scenario, names)
+        complete = SensingGraph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+        other = dataclasses.replace(scenario, topologies=(complete,))
+        save_scenario("k6.yaml", other, ["complete6"])
+        assert main(["design", "k6.yaml", "-o", "k6.gains.json", "--quiet"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "k6.gains.json", "triangle.yaml", "--quiet"]) == EXIT_INFEASIBLE
+        assert main(["simulate", "triangle.yaml", "k6.gains.json", "-o", "out.csv",
+                     "--quiet"]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: topology 0: the gains have a block for edge (1, 4), "
+                       "which is not in the scenario's graph"] * 2
+        assert not (workdir / "out.csv").exists()
+
+    def test_asymmetric_gains_fail_verification(self, workdir, capsys):
+        # b of edge (1, 2) moves agent 1's signed sum_j b_ij off 0 by 1e-3, and
+        # agent 2's by -1e-3: the first of the two is named.
+        write_triangle(workdir / "tri.yaml")
+        main(["design", "tri.yaml", "-o", "g.json", "--quiet"])
+        rewrite(workdir / "g.json", lambda d: d["matrices"][0]["edges"][0].__setitem__(
+            3, d["matrices"][0]["edges"][0][3] + 1e-3), json.loads, json.dumps)
+        capsys.readouterr()
+        assert main(["verify", "g.json", "tri.yaml"]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out.rstrip().endswith("FAIL")
+        assert "assembled gain matrix is not symmetric" in err
+        assert "agent 1 has signed sum_j b_ij = 1.000e-03, not 0" in err
 
     def test_corrupt_gains_file_is_parse_error(self, workdir):
         write_triangle(workdir / "tri.yaml")

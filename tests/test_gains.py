@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_laws import chain_closed_loop_matrix, reduced_matrix
+from reference_laws import assemble, chain_closed_loop_matrix, constraint_rows, reduced_matrix
 
 import bcbform.gains as gains_mod
 from bcbform.cli import demo_scenario
@@ -35,6 +35,11 @@ def complete_graph(n):
     return SensingGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
+def edge_params(gm, edge):
+    """(a, b) of ``edge`` (i < j) in ``gm``."""
+    return tuple(gm.params[gm.graph.edge_list.index(edge)])
+
+
 def projector_gain_oracle(spec):
     """Independent optimum for complete graphs: -(I - N_hat N_hat^T).
 
@@ -58,9 +63,8 @@ def projector_gain_oracle(spec):
 class TestStructure:
     def test_translations_in_kernel_for_any_edge_params(self):
         g = SensingGraph(3, [(1, 2), (2, 3), (1, 3)])
-        gm = GainMatrix.from_edge_params(
-            g, {(1, 2): (1.0, 0.5), (2, 3): (2.0, -0.25), (1, 3): (0.5, 0.0)}
-        )
+        params = {(1, 2): (1.0, 0.5), (2, 3): (2.0, -0.25), (1, 3): (0.5, 0.0)}
+        gm = GainMatrix(g, [params[e] for e in g.edge_list])
         # Block rows sum to zero: translations are in the kernel.
         for shift in (0, 1):
             ones = np.zeros(6)
@@ -75,11 +79,43 @@ class TestStructure:
 
     def test_block_row_contains_neighbor_blocks(self):
         g = SensingGraph(3, [(1, 2), (1, 3)])
-        gm = GainMatrix.from_edge_params(g, {(1, 2): (2.0, -1.0), (1, 3): (-1.0, 3.0)})
-        blocks = gm.block_row(1)
-        assert set(blocks) == {2, 3}
-        assert np.array_equal(blocks[2], [[2.0, -1.0], [1.0, 2.0]])
-        assert np.array_equal(blocks[3], [[-1.0, 3.0], [-3.0, -1.0]])
+        gm = GainMatrix(g, [(2.0, -1.0), (-1.0, 3.0)])
+        src, dst, _ = g.directed_edges()
+        blocks = gm.directed_blocks()[src == 0]
+        assert dst[src == 0].tolist() == [1, 2]
+        assert np.array_equal(blocks[0], [[2.0, -1.0], [1.0, 2.0]])
+        assert np.array_equal(blocks[1], [[-1.0, 3.0], [-3.0, -1.0]])
+        # Block row 1 of the assembled matrix holds them, and agent 2 weighs
+        # agent 1 through the transpose.
+        assert np.array_equal(gm.assembled[0:2, 2:6], np.hstack([blocks[0], blocks[1]]))
+        assert np.array_equal(gm.assembled[2:4, 0:2], blocks[0].T)
+
+    def test_params_are_one_row_per_edge(self):
+        g = SensingGraph(3, [(1, 2), (1, 3)])
+        with pytest.raises(DimensionError, match="one \\(a, b\\) row per edge"):
+            GainMatrix(g, [(2.0, -1.0)])
+        gm = GainMatrix(g, [(2.0, -1.0), (-1.0, 3.0)])
+        with pytest.raises(ValueError):
+            gm.params[0, 0] = 5.0
+
+
+class TestArrayForm:
+    """The assembly and the constraint rows are bitwise the edge-by-edge loops
+    of reference_laws, on the demos' topologies and on complete50."""
+
+    def test_assembly_matches_edge_loop(self, array_form_case):
+        _, _, mats = array_form_case
+        for gm in mats:
+            assert gm.assembled.tobytes() == assemble(gm).tobytes()
+
+    def test_constraints_match_entry_loop(self, array_form_case):
+        graphs, spec, _ = array_form_case
+        pool = gains_mod._VariablePool(graphs)
+        trace = SolverOptions().resolved_trace(spec.n) * len(graphs)
+        G, h = gains_mod._constraints(pool, spec, trace)
+        G_ref, h_ref = constraint_rows(pool, spec, trace)
+        assert G.tobytes() == G_ref.tobytes()
+        assert h.tobytes() == h_ref.tobytes()
 
 
 class TestDesign:
@@ -184,12 +220,12 @@ def realify(M):
 
 def dense_operator(pool, k, Qc):
     """Reference r^2 x dim complex matrix of x -> vec(Q_c^H H^k(x) Q_c), one
-    column per unit vector, each assembled by GainMatrix.from_edge_params."""
+    column per unit vector, each assembled by GainMatrix."""
     cols = []
     for u in range(pool.dim):
         x = np.zeros(pool.dim)
         x[u] = 1.0
-        gm = GainMatrix.from_edge_params(pool.graphs[k], pool.edge_params(k, x))
+        gm = GainMatrix(pool.graphs[k], x.reshape(-1, 2)[pool.classes[k]])
         cols.append((Qc.conj().T @ hermitian_of(gm.assembled) @ Qc).reshape(-1))
     return np.array(cols).T
 
@@ -202,8 +238,7 @@ def admm_design(graphs, spec, trace=None):
     G, h = gains_mod._constraints(pool, spec, trace * len(graphs))
     op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
     x, info = gains_mod._admm_solve(op, *gains_mod._independent_constraints(G, h))
-    mats = [GainMatrix.from_edge_params(g, pool.edge_params(k, x))
-            for k, g in enumerate(graphs)]
+    mats = [GainMatrix(g, x.reshape(-1, 2)[pool.classes[k]]) for k, g in enumerate(graphs)]
     return mats, info
 
 
@@ -311,9 +346,7 @@ class TestFlatOptimum:
         (ref,), ref_info = admm_design([complete_graph(n)], spec)
         assert info.algorithm == "closed_form" and ref_info.algorithm == "admm"
         assert ref_info.converged and ref_info.iterations > 0
-        edges = complete_graph(n).edge_list
-        got = np.array([gm.blocks[e] for e in edges])
-        want = np.array([ref.blocks[e] for e in edges])
+        got, want = gm.params, ref.params
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert ref_info.gamma == pytest.approx(info.gamma, rel=1e-12)
 
@@ -444,8 +477,7 @@ class TestEdgeOperator:
         rng = np.random.default_rng(12)
         graph = trilateration_graph(9)
         basis = build_kernel_basis(FormationSpec.from_coordinates(rng.uniform(-1, 1, (9, 2))))
-        params = {e: tuple(rng.normal(size=2)) for e in graph.edge_list}
-        A = GainMatrix.from_edge_params(graph, params).assembled
+        A = GainMatrix(graph, rng.normal(size=(len(graph.edge_list), 2))).assembled
         Qr = realify(basis.Qc)
         H = hermitian_of(A)
         assert np.max(np.abs(realify(H) - A)) == 0.0
@@ -585,7 +617,7 @@ class TestJointDesign:
                  if self.topos[0].neighbors(i) == self.topos[1].neighbors(i)}
         for (i, j) in shared:
             if i in tied0 and j in tied0:
-                assert mats[0].blocks[(i, j)] == mats[1].blocks[(i, j)]
+                assert edge_params(mats[0], (i, j)) == edge_params(mats[1], (i, j))
 
 
 class TestReducedMatrix:
@@ -611,11 +643,9 @@ class TestVerify:
         spec = FormationSpec.from_coordinates(HEX_POINTS)
         g = SensingGraph(6, [(i, i % 6 + 1) for i in range(1, 7)])
         gm, _ = design_gains(g, spec)
-        params = {(i, j): gm.blocks[(i, j)] for (i, j) in g.edge_list}
-        i, j = g.edge_list[0]
-        a, b = params[(i, j)]
-        params[(i, j)] = (a + 0.5, b)
-        corrupted = GainMatrix.from_edge_params(g, params)
+        params = gm.params.copy()
+        params[0, 0] += 0.5
+        corrupted = GainMatrix(g, params)
         report = verify_gains(corrupted, build_kernel_basis(spec))
         assert not report.passed
 

@@ -341,11 +341,41 @@ class TestGainsRoundTrip:
         matrices, doc = load_gains(str(path))
         assert len(matrices) == 1
         # Shortest-repr JSON floats preserve every bit of the parameters.
-        assert matrices[0].blocks == gm.blocks
+        assert matrices[0].graph == gm.graph
+        assert matrices[0].params.tobytes() == gm.params.tobytes()
         assert np.array_equal(matrices[0].assembled, gm.assembled)
         assert doc["trace_budget"] == -8.0
         assert doc["solver"]["converged"] is True
         assert doc["matrices"][0]["spectrum"]["zero_count"] == 4
+
+    def saved_hexagon(self, path):
+        """The designed hexagon-cycle gains, and their saved document."""
+        spec = FormationSpec.from_coordinates(HEX_POINTS)
+        graph = SensingGraph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+        gm, info = design_gains(graph, spec)
+        report = verify_gains(gm, build_kernel_basis(spec))
+        save_gains(str(path), [gm], info, [report], trace_budget=-8.0)
+        return gm, json.loads(path.read_text())
+
+    def test_rows_load_in_edge_order(self, tmp_path):
+        path = tmp_path / "gains.json"
+        gm, doc = self.saved_hexagon(path)
+        assert [row[:2] for row in doc["matrices"][0]["edges"]] == [
+            list(e) for e in gm.graph.edge_list]
+        doc["matrices"][0]["edges"].reverse()
+        path.write_text(json.dumps(doc))
+        (loaded,), _ = load_gains(str(path))
+        assert loaded.params.tobytes() == gm.params.tobytes()
+
+    def test_duplicate_edge_row_rejected(self, tmp_path):
+        path = tmp_path / "gains.json"
+        _, doc = self.saved_hexagon(path)
+        i, j, a, b = doc["matrices"][0]["edges"][0]
+        doc["matrices"][0]["edges"].append([i, j, a + 5.0, b])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"gains.matrices[].edges has two rows for edge ({i}, {j})")):
+            load_gains(str(path))
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from reference_laws import (
     IntegralState,
     active_topology,
     avoidance,
+    block_row,
     consensus_term,
     higher_order_control,
     integral_control,
     scale_augmented_control,
 )
 
+from bcbform import gains as gains_mod
 from bcbform import sim as sim_module
 from bcbform.cli import DEMO_NAMES, demo_scenario
 from bcbform.collision import (
@@ -34,13 +37,19 @@ from bcbform.controllers import (
 )
 from bcbform.dynamics import heading_vector
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
-from bcbform.gains import GainMatrix, design_gains
-from bcbform.geometry import FormationSpec, SensingGraph, min_pairwise_distance
+from bcbform.gains import GainMatrix, design_gains, verify_gains
+from bcbform.geometry import (
+    FormationSpec,
+    SensingGraph,
+    build_kernel_basis,
+    min_pairwise_distance,
+)
 from bcbform.sim import (
     AgentModel,
     InitSpec,
     Scenario,
     SimConfig,
+    check_gains,
     lyapunov_monitor,
     run,
     state_column_names,
@@ -194,11 +203,51 @@ class TestRun:
 
     def test_bad_gain_refused(self, hex_gains):
         scenario, graph = hexagon_scenario()
-        params = dict(hex_gains[0].edge_params())
-        (i, j), (a, b) = next(iter(params.items()))
-        params[(i, j)] = (a + 0.5, b)
+        params = hex_gains[0].params.copy()
+        params[0, 0] += 0.5
         with pytest.raises(GuaranteeViolationError):
-            run(scenario, [GainMatrix.from_edge_params(graph, params)])
+            run(scenario, [GainMatrix(graph, params)])
+
+    def test_gains_for_other_edge_set_refused(self, hex_gains):
+        # Both name the first edge in which the two graphs differ: one the
+        # gains lack, or one they have and the scenario's graph does not.
+        scenario, _ = hexagon_scenario()
+        basis = build_kernel_basis(scenario.formation)
+        complete = SensingGraph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+        path = SensingGraph(6, [(i, i + 1) for i in range(1, 6)])
+        for graph, named in ((complete, "the gains have no gain block for edge (1, 3)"),
+                             (path, "the gains have a block for edge (1, 6), which is "
+                                    "not in the scenario's graph")):
+            other = dataclasses.replace(scenario, topologies=(graph,))
+            with pytest.raises(ConfigurationError, match=re.escape(f"topology 0: {named}")):
+                check_gains(other, hex_gains, basis)
+            with pytest.raises(ConfigurationError, match=re.escape(named)):
+                run(other, hex_gains)
+
+    def test_asymmetric_gains_refused(self):
+        # A change of b that keeps A q* = 0 but not sum_j b_ij = 0 skews the
+        # diagonal blocks.  eigvalsh reads one triangle, so the spectrum check
+        # alone passes it.
+        scenario, _, _ = demo_scenario("triangle")
+        graph, spec = scenario.topologies[0], scenario.formation
+        gm, _ = design_gains(graph, spec)
+        G, _ = gains_mod._constraints(gains_mod._VariablePool([graph]), spec, -1.0)
+        kernel, symmetry = G[:12], G[12:18]  # two kernel rows, one symmetry row per agent
+        _, S, Vt = np.linalg.svd(kernel)
+        N = Vt[np.count_nonzero(S > 1e-10 * S[0]):].T
+        delta = N @ (N.T @ symmetry[0])
+        delta *= 1e-6 / np.max(np.abs(delta))
+        tampered = GainMatrix(graph, gm.params + delta.reshape(-1, 2))
+        basis = build_kernel_basis(spec)
+        report = verify_gains(tampered, basis)
+        A = tampered.assembled
+        assert report.passed
+        assert np.max(np.abs(A - A.T)) > 2 * report.zero_tolerance
+        ((_, _, failure),) = check_gains(scenario, [tampered], basis)
+        assert failure.startswith("topology 0: assembled gain matrix is not symmetric")
+        assert "agent 1 has signed sum_j b_ij = 1.000e-06, not 0" in failure
+        with pytest.raises(GuaranteeViolationError, match="not symmetric"):
+            run(scenario, [tampered])
 
     def test_unstable_chain_gains_refused(self, hex_gains):
         # On the hexagon spectrum {-2/3, -4/3} these chain gains put a
@@ -342,7 +391,7 @@ def reference_commands(scenario, gm, states, integrals, rng):
     us = np.zeros((6, 2))
     for i in range(1, 7):
         R = rotation(scenario.frame_angles[i - 1])
-        blocks = gm.block_row(i)
+        blocks = block_row(gm, i)
         neighbors = sorted(graph.neighbors(i))
 
         def measure(part):
@@ -447,7 +496,7 @@ class TestAvoidancePrefilter:
         law, and to 1e-12 on the others, which take the one-step map.
         Returns how many commands avoidance changed."""
         command, _, _ = sim_module._build_step(scenario)
-        edges = _edge_arrays(scenario.topologies[0], gains[0], None, 1)
+        edges = _edge_arrays(gains[0], None, 1)
         changed = 0
         for k in range(log.t.size):
             u, _ = command(edges, log.states[k], None, None)
@@ -572,8 +621,7 @@ def stepwise_pieces(scenario, gains):
     model, cfg = scenario.agents, scenario.controller
     full_A = model.dynamics == "chain" and cfg.chain_variant == "full_A"
     orders = model.chain_order + 1 if full_A else 1
-    edges = [_edge_arrays(g, gm, cfg.scale, orders)
-             for g, gm in zip(scenario.topologies, gains)]
+    edges = [_edge_arrays(gm, cfg.scale, orders) for gm in gains]
     command, project, advance = sim_module._build_step(scenario)
     avoid = scenario.avoidance
 
@@ -740,7 +788,7 @@ def map_stepwise(scenario, gains):
     step = sim_module._build_step(scenario)
     command, project, advance = step
     cfg = scenario.avoidance
-    edges = [_edge_arrays(g, gm, None, 1) for g, gm in zip(scenario.topologies, gains)]
+    edges = [_edge_arrays(gm, None, 1) for gm in gains]
     maps = [sim_module._one_step_map(step, e, n, dim) for e in edges]
     steps = int(math.floor(scenario.sim.t_final / dt)) + 1
     states, cmds = np.zeros((steps, n, dim)), np.zeros((steps, n, 2))
@@ -996,9 +1044,8 @@ class TestEdgeSum:
         rng = np.random.default_rng([len(name), orders])
         degrees = set()
         for graph in scenario.topologies:
-            params = {e: tuple(rng.normal(size=2)) for e in graph.edge_list}
-            gm = GainMatrix.from_edge_params(graph, params)
-            edges = _edge_arrays(graph, gm, None, orders)
+            gm = GainMatrix(graph, rng.normal(size=(len(graph.edge_list), 2)))
+            edges = _edge_arrays(gm, None, orders)
             degrees.update(np.bincount(edges.src).tolist())
             for seed in range(200):
                 states = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, dim))
