@@ -4,9 +4,8 @@ The design problem maximizes the smallest eigenvalue of -Q^T A Q over gain
 matrices A that are symmetric, block-Laplacian, sparse on the sensing graph,
 annihilate the kernel basis, and have fixed trace.  ADMM splits it into a
 PSD projection and a least-squares step on the null space of the equality
-constraints: one affine map, formed once from an SVD, whose memory is a few
-dim x dim arrays for dim edge parameters.  Its dual iterate gives an upper
-bound on the optimum, so every design reports its duality gap.
+constraints.  Its dual iterate gives an upper bound on the optimum, so every
+design reports its duality gap.
 
 The 2n - 4 nonzero eigenvalues of Q^T A Q sum to the trace tau, so no graph
 has a gap above |tau|/(2n - 4), and only the flat matrix
@@ -20,7 +19,11 @@ Each 2 x 2 block a I + b K multiplies like the complex number a - ib, so A
 is the realification of an n x n Hermitian matrix H, and -Q^T A Q that of
 the (n-2) x (n-2) Hermitian -Q_c^H H Q_c.  ADMM runs on the Hermitian
 matrices, with the inner products of their realifications: the same
-iterates at half the matrix side.
+iterates at half the matrix side.  They are vectors of packed real
+coordinates (``_HermitianPacking``), and on null(G), of dimension p, the
+linear map is one dense m r^2 x (p + 1) matrix U, r = n - 2, formed once
+with the inverse of its (p + 1) x (p + 1) Gram matrix: the memory of a
+design is those m r^2 (p + 1) + (p + 1)^2 floats.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ MAX_ITERATIONS = 20000  # ADMM iterations per design
 # at most FLAT_TOL |tau|/(2n-4); rounding leaves about n * 1e-16 there.
 FLAT_TOL = 1e-12
 PRIMAL_TOL = DUAL_TOL = 1e-9  # absolute ADMM stopping tolerances
-ADMM_RHO = 1.0  # ADMM penalty parameter
+# Packed coordinates per block of rows while ADMM's linear map U is formed.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,34 @@ class _VariablePool:
             self.class_members[c].append(key)
 
 
+class _HermitianPacking:
+    """Packed real coordinates of (m, r, r) Hermitian stacks, as in SCS: per
+    matrix its diagonal, then sqrt(2) Re and sqrt(2) Im of its strict lower
+    triangle, r^2 numbers, so that 2 pack(W) . pack(M) = 2 Re tr(W^H M)."""
+
+    def __init__(self, r: int):
+        d, (i, j) = np.arange(r), np.tril_indices(r, -1)
+        # Entry (row, col) of each coordinate, and whether it is an imaginary part.
+        self.rows, self.cols = np.concatenate([d, i, i]), np.concatenate([d, j, j])
+        self.imag = np.repeat([False, False, True], [r, i.size, i.size])
+        self.scale = np.where(self.rows == self.cols, 1.0, np.sqrt(2.0))
+        # Positions in the float64 view of a C-ordered complex r x r matrix.
+        self.index = 2 * (r * self.rows + self.cols) + self.imag
+
+    def pack(self, M: NDArray[np.complex128]) -> NDArray[np.float64]:
+        """(m, r, r) stack -> vector of m r^2; only the lower triangle and the
+        real diagonal are read."""
+        flat = M.view(np.float64).reshape(len(M), -1)
+        return (flat[:, self.index] * self.scale).ravel()
+
+    def unpack_lower(self, v: NDArray[np.float64], out: NDArray[np.complex128]):
+        """Write the lower triangle and diagonal of vector ``v`` into the
+        (m, r, r) stack ``out``, leaving its strict upper triangle; returns out."""
+        out.view(np.float64).reshape(len(out), -1)[:, self.index] = (
+            v.reshape(len(out), -1) / self.scale)
+        return out
+
+
 class _EdgeOperator:
     """x -> Q_c^H H^k(x) Q_c for every topology k of a pool, from the edge list.
 
@@ -229,84 +261,55 @@ class _EdgeOperator:
     1 x r rows Q_c[i] and, per edge (i, j), D = Q_c[j] - Q_c[i] and
     S = Q_c[i] + Q_c[j], the a-variable of the edge contributes -a D^H D and
     its b-variable -ib S^H D.  Every variable u is thus c_u L_u^H R_u with
-    1 x r factors, so the forward map, its adjoint and the Gram matrix only
-    ever touch single rows: nothing of size r^2 x dim is formed.  Inner
-    products are <W, M> = 2 Re tr(W^H M), the real Frobenius product of the
-    realified matrices, so the adjoint and the Gram matrix are those of the
-    real map.  Topologies are stacked on a leading axis, padded with zero
-    rows to a common edge count.
+    1 x r factors, from which the forward map, its adjoint and the packed
+    matrix of the map on a basis are formed: nothing of size r^2 x dim.
+    Inner products are <W, M> = 2 Re tr(W^H M), the real Frobenius product
+    of the realified matrices, so the adjoint is that of the real map.
     """
 
     def __init__(self, pool: _VariablePool, Qc: NDArray[np.complex128]):
-        r = Qc.shape[1]
-        m = len(pool.graphs)
-        count = max(len(g.edge_list) for g in pool.graphs)
-        # Variable u = (a or b, edge) owns factor row u.
-        left = np.zeros((m, 2, count, r), dtype=complex)
-        right = np.zeros((m, 2, count, r), dtype=complex)
-        index = np.zeros((m, 2, count), dtype=np.intp)
-        coef = np.zeros((m, 2, count), dtype=complex)
-        self.parts = []  # unpadded (L, R, index, coef) per topology
+        self.m, self.r, self.dim = len(pool.graphs), Qc.shape[1], pool.dim
+        self.parts = []  # (conj L, R, index, coef) of each topology's variables
         for k, g in enumerate(pool.graphs):
-            ne = len(g.edge_list)
             i, j = g.edge_index()
             D = Qc[j] - Qc[i]
-            left[k, 0, :ne] = right[k, 0, :ne] = right[k, 1, :ne] = D
-            left[k, 1, :ne] = Qc[i] + Qc[j]
-            index[k, 0, :ne] = 2 * pool.classes[k]
-            index[k, 1, :ne] = 2 * pool.classes[k] + 1
-            coef[k, 0, :ne] = -1.0
-            coef[k, 1, :ne] = -1j
             self.parts.append((
-                left[k, :, :ne].reshape(2 * ne, r),
-                right[k, :, :ne].reshape(2 * ne, r),
-                index[k, :, :ne].reshape(-1),
-                coef[k, :, :ne].reshape(-1),
+                np.concatenate([D, Qc[i] + Qc[j]]).conj(),
+                np.concatenate([D, D]),
+                np.concatenate([2 * pool.classes[k], 2 * pool.classes[k] + 1]),
+                np.repeat([-1.0, -1j], len(D)),
             ))
-        self.m, self.r, self.dim = m, r, pool.dim
-        self.left = left.reshape(m, 2 * count, r)
-        self.left_h = np.ascontiguousarray(self.left.conj().transpose(0, 2, 1))
-        self.right = right.reshape(m, 2 * count, r)
-        self.right_conj = self.right.conj()
-        self.index = index.reshape(m, 2 * count)
-        self.coef = coef.reshape(m, 2 * count)
-        self.adjoint_coef = 2.0 * self.coef.conj()
 
     def forward(self, x: NDArray[np.float64]) -> NDArray[np.complex128]:
         """Stack (m, r, r) of Q_c^H H^k(x) Q_c."""
-        return (self.left_h * (self.coef * x[self.index])[:, None, :]) @ self.right
+        return np.stack([(Lc.T * (coef * x[idx])) @ R for Lc, R, idx, coef in self.parts])
 
     def adjoint(self, W: NDArray[np.complexfloating]) -> NDArray[np.float64]:
         """x-space vector sum_k B_k^T W_k for a stack W of shape (m, r, r):
         entry u is 2 Re tr(B_u^H W) = 2 Re(conj(c_u) L_u W R_u^H)."""
-        vals = np.einsum("kus,kus->ku", self.left @ W, self.right_conj)
-        vals = (self.adjoint_coef * vals).real
-        return np.bincount(self.index.ravel(), weights=vals.ravel(), minlength=self.dim)
+        return sum(
+            np.bincount(idx, minlength=self.dim, weights=(
+                2.0 * coef.conj() * np.einsum("us,us->u", Lc.conj() @ Wk, R.conj())).real)
+            for (Lc, R, idx, coef), Wk in zip(self.parts, W))
 
-    def gram(self, out=None, chunk_rows: int = 128) -> NDArray[np.float64]:
-        """B^T B: <B_u, B_v> = 2 Re(conj(c_u) c_v (L_u L_v^H) conj(R_u R_v^H)).
-
-        Added into ``out`` (a zeroed dim x dim array or view) when given.
-        Factor rows are taken ``chunk_rows`` at a time against the rows from
-        the chunk's first onward, so each pair of variables is formed once
-        and a pair beyond the chunk fills both of its entries.  No temporary
-        grows beyond chunk_rows x (2 |E|)."""
-        G = np.zeros((self.dim, self.dim)) if out is None else out
-        for L, R, idx, coef in self.parts:
-            nvar = idx.size
-            L_h, R_t, R_conj, coef_conj = L.conj().T, R.T, R.conj(), coef.conj()
-            for lo in range(0, nvar, chunk_rows):
-                hi = min(lo + chunk_rows, nvar)
-                blk = L[lo:hi] @ L_h[:, lo:]
-                blk *= R_conj[lo:hi] @ R_t[:, lo:]
-                blk *= coef_conj[lo:hi, None]
-                blk *= coef[lo:]
-                vals = blk.real
-                vals *= 2.0
-                G[np.ix_(idx[lo:hi], idx[lo:])] += vals
-                G[np.ix_(idx[hi:], idx[lo:hi])] += vals[:, hi - lo :].T
-                del blk, vals  # before the next products
-        return G
+    def packed(self, pack: _HermitianPacking, basis: NDArray[np.float64]) -> NDArray[np.float64]:
+        """(m r^2, c) matrix of y -> pack(forward(basis @ y)) for a dim x c
+        ``basis``.  Entry (s, t) of Q_c^H H^k(x) Q_c is sum_u c_u x_u
+        conj(L_us) R_ut, so each packed coordinate is a real row over the
+        variables; rows are formed CHUNK_ROWS at a time."""
+        size = pack.index.size
+        out = np.empty((self.m, size, basis.shape[1]))
+        for k, (Lc, R, idx, coef) in enumerate(self.parts):
+            for lo in range(0, size, CHUNK_ROWS):
+                q = slice(lo, lo + CHUNK_ROWS)
+                vals = Lc[:, pack.rows[q]]
+                vals *= R[:, pack.cols[q]]
+                vals *= coef[:, None]
+                rows = np.zeros((vals.shape[1], self.dim))  # idx is distinct per topology
+                rows[:, idx] = np.where(pack.imag[q], vals.imag, vals.real).T
+                rows *= pack.scale[q, None]
+                out[k, q] = rows @ basis
+        return out.reshape(self.m * size, basis.shape[1])
 
 
 def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
@@ -376,30 +379,29 @@ class SolveInfo:
 
 
 def _psd_project(M: NDArray[np.complexfloating]) -> NDArray[np.complex128]:
-    """Project each Hermitian matrix of a stack onto the PSD cone."""
-    w, V = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(-1, -2)))
+    """Project each Hermitian matrix of a stack, of which ``eigh`` reads the
+    lower triangle, onto the PSD cone."""
+    w, V = np.linalg.eigh(M)
     w = np.maximum(w, 0.0)
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _x_update(op: _EdgeOperator, x0, null_basis):
-    """(P, offset) with z = P rhs + offset the minimizer of 1/2 z^T K z - rhs^T z
-    over z = (x0 + N y, gamma), N = ``null_basis``, K the Gram block of (x, gamma):
-    P = T (T^T K T)^-1 T^T, T = blockdiag(N, 1).  Memory: a few (dim + 1)^2 arrays."""
-    dim, m_top, r = op.dim, op.m, op.r
-    K = np.zeros((dim + 1, dim + 1))
-    op.gram(out=K[:dim, :dim])
-    K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(np.eye(r), (m_top, r, r)))
-    K[dim, dim] = m_top * 2 * r
+def _null_space_map(op: _EdgeOperator, x0, null_basis, pack: _HermitianPacking):
+    """(U, f0, a, S), formed once: B(x0 + N y) + gamma I packs to f0 + U w for
+    w = (y, gamma), U = [pack B(N e_i) | pack I], and w = a - S U^T c minimizes
+    -gamma + ||f0 + U w + c||^2 for a packed stack c (half the realified norm):
+    S = 2 M^-1 and a = M^-1 (e_gamma - 2 U^T f0) for M = 2 U^T U.  Memory:
+    m r^2 (p + 1) floats for U and (p + 1)^2 for S."""
+    m, r, p = op.m, op.r, null_basis.shape[1]
+    U = np.empty((m * r * r, p + 1))
+    U[:, :p] = op.packed(pack, null_basis)
+    U[:, p] = np.tile(pack.rows == pack.cols, m)  # pack I: 1 on each diagonal entry
+    f0 = pack.pack(op.forward(x0))
+    M = 2.0 * (U.T @ U)
     # Tiny ridge guards rank deficiency in degenerate variable pools.
-    ridge = np.arange(dim + 1)
-    K[ridge, ridge] += 1e-12 * max(1.0, np.trace(K) / (dim + 1))
-    T = np.zeros((dim + 1, null_basis.shape[1] + 1))
-    T[:dim, :-1] = null_basis
-    T[dim, -1] = 1.0
-    z0 = np.append(x0, 0.0)
-    P = T @ np.linalg.solve(T.T @ (K @ T), T.T)
-    return P, z0 - P @ (K @ z0)
+    M[np.diag_indices(p + 1)] += 1e-12 * max(1.0, np.trace(M) / (p + 1))
+    S = 2.0 * np.linalg.inv(M)
+    return U, f0, 0.5 * S[:, p] - S @ (U.T @ f0), S
 
 
 def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
@@ -407,45 +409,35 @@ def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
 
     x0 solves G x = h, and ``null_basis`` and ``range_basis`` are orthonormal
     bases of null(G) and range(G^T).  The iterates are the (m, r, r) Hermitian
-    stacks of ``op``; every norm, trace and inner product is that of their
-    2r x 2r realifications, so the iteration is the one on Q^T A^k(x) Q.  Each
-    (x, gamma)-update minimizes -gamma + rho/2 ||B x + gamma e + Z + Y/rho||^2
-    subject to G x = h: the affine map of ``_x_update``, formed once."""
-    dim, m_top, r = op.dim, op.m, op.r
-    side = 2 * r  # of the realified matrices
-    rho = ADMM_RHO
-    eye = np.eye(r)
-    P, offset = _x_update(op, x0, null_basis)
-
-    Z = np.zeros((m_top, r, r), dtype=complex)
-    Y = np.zeros((m_top, r, r), dtype=complex)
-    scale = np.sqrt(m_top) * side
-    rhs = np.empty(dim + 1)
-    primal = dual = np.inf
-    it = 0
+    stacks of ``op`` in packed coordinates, whose dot product is half that of
+    the 2r x 2r realifications, so the iteration is the one on Q^T A^k(x) Q.
+    Each (x, gamma)-update minimizes -gamma + 1/2 ||B x + gamma I + Z + Y||^2
+    (penalty 1, realified norm) subject to G x = h: the map of
+    ``_null_space_map``."""
+    m_top, r = op.m, op.r
+    pack = _HermitianPacking(r)
+    U, f0, a, S = _null_space_map(op, x0, null_basis, pack)
+    z, y = np.zeros(len(f0)), np.zeros(len(f0))
+    lower = np.zeros((m_top, r, r), dtype=complex)  # its strict upper triangle stays 0
+    scale = np.sqrt(m_top) * 2 * r  # 2r: the side of the realified matrices
     for it in range(1, MAX_ITERATIONS + 1):
-        # (x, gamma)-update: equality-constrained least squares.
-        c = Z + Y / rho
-        rhs[:dim] = -op.adjoint(c)
-        rhs[dim] = 1.0 / rho - 2.0 * np.trace(c, axis1=1, axis2=2).real.sum()
-        sol = P @ rhs + offset
-        x, gamma = sol[:dim], sol[dim]
-        shifted = op.forward(x) + gamma * eye
+        # (x, gamma)-update: least squares on null(G).
+        w = a - S @ (U.T @ (z + y))
+        shifted = f0 + U @ w
         # Z-update: spectral projection onto the PSD cone.
-        Z_new = _psd_project(-shifted - Y / rho)
-        step = Z_new - Z
-        dual_acc = 2.0 * np.vdot(step, step).real
-        Z = Z_new
-        R = Z + shifted
-        primal_acc = 2.0 * np.vdot(R, R).real
-        Y = Y + rho * R
-        primal = np.sqrt(primal_acc) / scale
-        dual = rho * np.sqrt(dual_acc) / scale
+        z_new = pack.pack(_psd_project(pack.unpack_lower(-shifted - y, lower)))
+        step = z_new - z
+        z = z_new
+        res = z + shifted
+        y += res
+        primal = np.sqrt(2.0 * (res @ res)) / scale
+        dual = np.sqrt(2.0 * (step @ step)) / scale
         if primal < PRIMAL_TOL and dual < DUAL_TOL:
             break
+    x, gamma = x0 + null_basis @ w[:-1], w[-1]
     # For W >= 0 with unit total trace and B^T W = G^T lam, every feasible
     # (x, gamma) has gamma <= -<B^T W, x> = -lam^T h.
-    W = _psd_project(Y)
+    W = _psd_project(pack.unpack_lower(y, np.zeros_like(lower)))
     W /= 2.0 * np.trace(W, axis1=1, axis2=2).real.sum()
     Bt_W = op.adjoint(W)
     return x, SolveInfo(

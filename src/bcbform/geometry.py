@@ -51,7 +51,8 @@ class SensingGraph:
 
     Edges are stored as a frozenset of sorted 1-based index pairs, so the
     graph is symmetric and duplicate-free by construction; ``edge_list``
-    holds them in sorted order, built once like the neighbor sets.
+    holds them in sorted order, built once like the neighbor sets and the
+    read-only arrays of ``directed_edges``.
     """
 
     n: int
@@ -75,6 +76,13 @@ class SensingGraph:
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "edge_list", tuple(sorted(normalized)))
         object.__setattr__(self, "_neighbors", {i: frozenset(s) for i, s in adj.items()})
+        i, j = self.edge_index()
+        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((dst, src))
+        directed = (src[order], dst[order], order % i.size)
+        for a in directed:
+            a.setflags(write=False)
+        object.__setattr__(self, "_directed", directed)
 
     def edge_index(self) -> NDArray[np.intp]:
         """(2, E) array of the 0-based endpoints i < j of ``edge_list``."""
@@ -83,10 +91,7 @@ class SensingGraph:
     def directed_edges(self) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
         """Both directions of every edge, agent-major with neighbors ascending:
         0-based (src, dst) and the row of ``edge_list`` each one comes from."""
-        i, j = self.edge_index()
-        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], order % i.size
+        return self._directed
 
     def neighbors(self, i: int) -> frozenset[int]:
         return self._neighbors.get(i, frozenset())

@@ -323,12 +323,13 @@ def _command(scenario: Scenario):
         command = lambda edges, x, integral, rng: law(edges, x, integral, None)
 
     if cfg.perturbation is not None:
-        unperturbed, perturb = command, ctl.perturb_control
-        c, alpha = cfg.perturbation.c, cfg.perturbation.alpha
+        # perturb_control's product; PerturbationConfig checked the envelope.
+        pert, unperturbed = cfg.perturbation, command
+        c, R = np.array(pert.c, dtype=np.float64)[:, None], ctl.rotation(pert.alpha)
 
         def command(edges, states, integral, rng):
             u, integral = unperturbed(edges, states, integral, rng)
-            return perturb(u, c, alpha), integral
+            return c * np.matmul(R, u[..., None])[..., 0], integral
 
     return command
 

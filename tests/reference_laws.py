@@ -10,7 +10,9 @@ the schedule lookup at the end are dense references for the gain checks and
 the simulator, and the edge-by-edge builders after them (gain matrix
 assembly, per-agent edge arrays, design constraint rows) are the loops that
 the array code of ``bcbform.gains`` and ``bcbform.controllers`` must match
-bit for bit.
+bit for bit.  Last, the gain design's ADMM on dense operators, with full
+Hermitian iterates and a KKT solve per update, is the reference for the
+solver's packed iteration.
 """
 
 import math
@@ -295,3 +297,56 @@ def constraint_rows(pool, spec, trace_total):
     rows.append(r0)
     rhs.append(trace_total)
     return np.array(rows), np.array(rhs)
+
+
+def kkt_x_update(operators, G, h, r):
+    """The (x, gamma)-update of the gain design's ADMM by its KKT system:
+    ``update(c)`` minimizes -gamma + 1/2 ||B x + gamma I + c||^2 subject to
+    G x = h for an (m, r, r) Hermitian stack c, and returns (x, gamma) and
+    the stack B x + gamma I.  ``operators`` holds, per topology, the
+    r^2 x dim complex matrix of x -> vec(Q_c^H H^k(x) Q_c); G has independent
+    rows; norms are those of <W, M> = 2 Re tr(W^H M)."""
+    dim = G.shape[1]
+    C = [np.column_stack([B, np.eye(r).reshape(-1)]) for B in operators]
+    K = sum(2.0 * (Ck.conj().T @ Ck).real for Ck in C)
+    # A ridge of 1e-12 of K's mean diagonal entry, as the solver's on (x, gamma).
+    K += 1e-12 * max(1.0, np.trace(K) / (dim + 1)) * np.eye(dim + 1)
+    Gz = np.hstack([G, np.zeros((len(G), 1))])
+    solve = np.linalg.inv(np.block([[K, Gz.T], [Gz, np.zeros((len(G), len(G)))]]))[: dim + 1]
+
+    def update(c):
+        rhs = -sum(2.0 * (Ck.conj().T @ ck.reshape(-1)).real for Ck, ck in zip(C, c))
+        rhs[dim] += 1.0
+        sol = solve @ np.concatenate([rhs, h])
+        return sol, np.array([Ck @ sol for Ck in C]).reshape(c.shape)
+
+    return update
+
+
+def psd_project(M):
+    """Each Hermitian matrix of a stack, projected onto the PSD cone."""
+    w, V = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(-1, -2)))
+    return (V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def admm_dense(operators, G, h, r, max_iterations, tol):
+    """The gain design's ADMM with full (m, r, r) Hermitian iterates and the
+    KKT update of ``kkt_x_update``: Z = PSD(-(B x + gamma I) - Y), then
+    Y += Z + B x + gamma I, until the primal and dual residuals, scaled by
+    sqrt(m) 2r, are both below ``tol``.  Returns (x, gamma, iterations)."""
+    m = len(operators)
+    update = kkt_x_update(operators, G, h, r)
+    Z = np.zeros((m, r, r), dtype=complex)
+    Y = np.zeros_like(Z)
+    scale = math.sqrt(m) * 2 * r
+    for it in range(1, max_iterations + 1):
+        sol, shifted = update(Z + Y)
+        Z_new = psd_project(-shifted - Y)
+        dual = math.sqrt(2.0 * np.vdot(Z_new - Z, Z_new - Z).real) / scale
+        Z = Z_new
+        R = Z + shifted
+        primal = math.sqrt(2.0 * np.vdot(R, R).real) / scale
+        Y = Y + R
+        if primal < tol and dual < tol:
+            break
+    return sol[:-1], sol[-1], it

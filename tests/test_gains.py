@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_laws import assemble, chain_closed_loop_matrix, constraint_rows, reduced_matrix
+from reference_laws import (admm_dense, assemble, chain_closed_loop_matrix, constraint_rows,
+                            kkt_x_update, reduced_matrix)
 
 import bcbform.gains as gains_mod
 from bcbform.cli import demo_scenario
@@ -266,9 +267,14 @@ def independent_rows(G):
     return rows
 
 
+def random_hermitian_stack(rng, m, r):
+    M = rng.normal(size=(m, r, r)) + 1j * rng.normal(size=(m, r, r))
+    return M + M.conj().swapaxes(1, 2)
+
+
 class TestConstraintSpace:
     """x0 + N y spans the solutions of G x = h, and the x-update on it is
-    the KKT solve it replaces."""
+    the KKT solve of the constrained least squares."""
 
     @pytest.mark.parametrize("case", ["circulant18", "switching9"])
     def test_null_space_and_particular_solution(self, case):
@@ -306,25 +312,75 @@ class TestConstraintSpace:
     def test_x_update_matches_dense_kkt_solve(self, case):
         pool, spec, G, h = constraint_system(case)
         x0, N, _ = gains_mod._independent_constraints(G, h)
-        op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
-        P, offset = gains_mod._x_update(op, x0, N)
-        # The KKT matrix of the constrained least squares: the Gram block of
-        # (x, gamma) with its ridge, bordered by independent rows of G.
-        dim, r, m = op.dim, op.r, op.m
-        K = np.zeros((dim + 1, dim + 1))
-        K[:dim, :dim] = op.gram()
-        K[:dim, dim] = K[dim, :dim] = op.adjoint(np.broadcast_to(np.eye(r), (m, r, r)))
-        K[dim, dim] = m * 2 * r
-        K += 1e-12 * max(1.0, np.trace(K) / (dim + 1)) * np.eye(dim + 1)
+        Qc = build_kernel_basis(spec).Qc
+        op = gains_mod._EdgeOperator(pool, Qc)
+        pack = gains_mod._HermitianPacking(op.r)
+        U, f0, a, S = gains_mod._null_space_map(op, x0, N, pack)
+        # The KKT system of the constrained least squares on the dense
+        # operator, bordered by independent rows of G.
         rows = independent_rows(G)
-        Gz = np.hstack([G[rows], np.zeros((len(rows), 1))])
-        kkt = np.block([[K, Gz.T], [Gz, np.zeros((len(rows), len(rows)))]])
+        kkt = kkt_x_update([dense_operator(pool, k, Qc) for k in range(op.m)],
+                           G[rows], h[rows], op.r)
         rng = np.random.default_rng(5)
         for _ in range(4):
-            rhs = rng.normal(size=dim + 1)
-            ref = np.linalg.solve(kkt, np.concatenate([rhs, h[rows]]))[: dim + 1]
-            got = P @ rhs + offset
+            c = random_hermitian_stack(rng, op.m, op.r)
+            ref, ref_shifted = kkt(c)
+            w = a - S @ (U.T @ pack.pack(c))
+            got = np.append(x0 + N @ w[:-1], w[-1])
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            shifted = pack.unpack_lower(f0 + U @ w, np.zeros_like(c))
+            assert (np.max(np.abs(shifted - np.tril(ref_shifted)))
+                    <= 1e-10 * np.max(np.abs(ref_shifted)))
+
+
+class TestHermitianPacking:
+    def test_packing_is_an_isometry(self):
+        rng = np.random.default_rng(21)
+        pack = gains_mod._HermitianPacking(5)
+        W, M = random_hermitian_stack(rng, 3, 5), random_hermitian_stack(rng, 3, 5)
+        v, u = pack.pack(W), pack.pack(M)
+        assert v.shape == (3 * 25,)
+        inner = 2.0 * np.trace(W.conj().swapaxes(1, 2) @ M, axis1=1, axis2=2).real.sum()
+        assert abs(2.0 * (v @ u) - inner) <= 1e-12 * abs(inner)
+        assert abs(2.0 * (v @ v) - 2.0 * np.vdot(W, W).real) <= 1e-12 * np.vdot(W, W).real
+
+    def test_unpacked_lower_triangle_round_trips(self):
+        rng = np.random.default_rng(22)
+        pack = gains_mod._HermitianPacking(6)
+        M = random_hermitian_stack(rng, 4, 6)
+        v = pack.pack(M)
+        # Only the lower triangle is written, and only it is read.
+        out = np.triu(random_hermitian_stack(rng, 4, 6), 1)
+        upper = out.copy()
+        assert pack.unpack_lower(v, out) is out
+        assert np.max(np.abs(np.tril(out) - np.tril(M))) <= 1e-12 * np.max(np.abs(M))
+        assert np.array_equal(np.triu(out, 1), upper)
+        assert np.max(np.abs(pack.pack(out) - v)) <= 1e-12 * np.max(np.abs(v))
+        assert np.array_equal(pack.pack(out), pack.pack(np.tril(out)))
+
+
+@pytest.mark.parametrize("case", ["hexagon", "switching9"])
+def test_admm_matches_dense_reference_loop(case):
+    """The packed iteration is the ADMM on full Hermitian iterates with a KKT
+    solve per update: the same iterates up to rounding."""
+    if case == "switching9":
+        scenario, _, _ = demo_scenario("switching9")
+        graphs, spec = list(scenario.topologies), scenario.formation
+    else:
+        graphs = [SensingGraph(6, [(i, i % 6 + 1) for i in range(1, 7)])]
+        spec = FormationSpec.from_coordinates(HEX_POINTS)
+    pool = gains_mod._VariablePool(graphs)
+    G, h = gains_mod._constraints(pool, spec, SolverOptions().resolved_trace(spec.n) * len(graphs))
+    Qc = build_kernel_basis(spec).Qc
+    op = gains_mod._EdgeOperator(pool, Qc)
+    x, info = gains_mod._admm_solve(op, *gains_mod._independent_constraints(G, h))
+    rows = independent_rows(G)
+    x_ref, gamma_ref, iterations = admm_dense(
+        [dense_operator(pool, k, Qc) for k in range(len(graphs))], G[rows], h[rows], op.r,
+        gains_mod.MAX_ITERATIONS, gains_mod.PRIMAL_TOL)
+    assert info.converged and info.iterations == iterations
+    assert info.gamma == pytest.approx(gamma_ref, rel=1e-10)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
 def flat_bound(n, trace=None):
@@ -429,7 +485,7 @@ def test_design_gap_within_flat_bound(n, seed, trace):
 
 
 class TestEdgeOperator:
-    def check_against_dense(self, graphs, spec):
+    def check_against_dense(self, graphs, spec, monkeypatch):
         Qc = build_kernel_basis(spec).Qc
         r = Qc.shape[1]
         pool = gains_mod._VariablePool(graphs)
@@ -444,23 +500,29 @@ class TestEdgeOperator:
         # Under <W, M> = 2 Re tr(W^H M), B_k^T W_k is 2 Re(B_k^H vec W_k).
         adjoint = sum(2.0 * (Bk.conj().T @ W[k].reshape(-1)).real for k, Bk in enumerate(Bs))
         assert np.max(np.abs(op.adjoint(W) - adjoint)) <= 1e-12
-        gram = sum(2.0 * (Bk.conj().T @ Bk).real for Bk in Bs)
-        assert np.max(np.abs(op.gram() - gram)) <= 1e-12 * np.max(np.abs(gram))
-        assert np.max(np.abs(op.gram(chunk_rows=6) - gram)) <= 1e-12 * np.max(np.abs(gram))
+        # The packed matrix on a basis is pack(forward(basis @ y)), in one or
+        # in several blocks of rows.
+        pack = gains_mod._HermitianPacking(r)
+        basis, y = rng.normal(size=(pool.dim, 5)), rng.normal(size=5)
+        want = pack.pack(op.forward(basis @ y))
+        for chunk in (gains_mod.CHUNK_ROWS, 7):
+            monkeypatch.setattr(gains_mod, "CHUNK_ROWS", chunk)
+            got = op.packed(pack, basis) @ y
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("graph", [circulant_graph(10), trilateration_graph(9),
                                        complete_graph(7)],
                              ids=["circulant", "trilateration", "complete"])
-    def test_matches_dense_reference(self, graph):
+    def test_matches_dense_reference(self, graph, monkeypatch):
         rng = np.random.default_rng(graph.n)
         spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(graph.n, 2)))
-        self.check_against_dense([graph], spec)
+        self.check_against_dense([graph], spec, monkeypatch)
 
-    def test_joint_pool_with_shared_variables(self):
+    def test_joint_pool_with_shared_variables(self, monkeypatch):
         scenario, _, _ = demo_scenario("switching9")
         pool = gains_mod._VariablePool(list(scenario.topologies))
         assert pool.n_classes < sum(len(g.edges) for g in scenario.topologies)
-        self.check_against_dense(list(scenario.topologies), scenario.formation)
+        self.check_against_dense(list(scenario.topologies), scenario.formation, monkeypatch)
 
     def test_realified_complex_basis_spans_kernel_complement(self):
         rng = np.random.default_rng(11)
@@ -486,7 +548,7 @@ class TestEdgeOperator:
 
     def test_complete30_peak_memory(self):
         # A dense r^2 x dim operator, with F = B Zn and F^T F built from it,
-        # peaks near 75 MiB here; the edge-list operator stays near 27 MiB.
+        # peaks near 75 MiB here; the packed null-space map stays near 21 MiB.
         # design_gains takes the closed form here, so ADMM is called directly.
         rng = np.random.default_rng(30)
         spec = FormationSpec.from_coordinates(rng.uniform(-1, 1, size=(30, 2)))

@@ -88,6 +88,19 @@ class TestSensingGraph:
         assert g.neighbors(2) == {1, 3, 4}
         assert g.neighbors(4) == {2}
 
+    def test_edge_arrays_built_once_and_read_only(self):
+        g = SensingGraph(4, [(3, 1), (1, 2), (2, 4)])
+        first, second = g.directed_edges(), g.directed_edges()
+        assert all(a is b for a, b in zip(first, second))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        src, dst, edge = first
+        assert src.tolist() == [0, 0, 1, 1, 2, 3]
+        assert dst.tolist() == [1, 2, 0, 3, 0, 1]
+        assert [g.edge_list[e] for e in edge] == [(1, 2), (1, 3), (1, 2), (2, 4), (1, 3), (2, 4)]
+
     def test_connectivity(self):
         assert SensingGraph(3, [(1, 2), (2, 3)]).is_connected()
         assert not SensingGraph(4, [(1, 2), (3, 4)]).is_connected()

@@ -453,6 +453,29 @@ class TestTeamStep:
                                       integrals, draws)
             assert np.max(np.abs(log.commands[k] - want)) < 1e-12
 
+    def test_perturbation_bound_once_is_per_step_perturb_control(self, hex_gains, monkeypatch):
+        """A perturbed unicycle run, with c and R(alpha) bound once, logs the
+        bytes of the run that calls perturb_control on every step."""
+        pert = TEAM_LAWS["perturbation"][1].perturbation
+        scenario, _ = hexagon_scenario(agents=AgentModel(dynamics="unicycle"),
+                                       controller=ControllerConfig(perturbation=pert),
+                                       sim=SimConfig(t_final=2.0, seed=3))
+        log = run(scenario, hex_gains)
+        unperturbed = sim_module._command(
+            dataclasses.replace(scenario, controller=ControllerConfig()))
+
+        def per_step(scenario):
+            def command(edges, states, integral, rng):
+                u, integral = unperturbed(edges, states, integral, rng)
+                return perturb_control(u, pert.c, pert.alpha), integral
+            return command
+
+        monkeypatch.setattr(sim_module, "_command", per_step)
+        ref = run(scenario, hex_gains)
+        assert np.any(log.commands != 0.0)
+        assert log.states.tobytes() == ref.states.tobytes()
+        assert log.commands.tobytes() == ref.commands.tobytes()
+
 
 GRID9 = [(c, -r) for r in range(3) for c in range(3)]
 AVOID = AvoidanceConfig(r=0.1, d_c=0.25, margin=0.01)
