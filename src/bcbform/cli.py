@@ -24,7 +24,6 @@ from .errors import (
     ConfigurationError,
     GuaranteeViolationError,
     InfeasibleTopologyError,
-    JointInfeasibilityError,
     SolverFailureError,
 )
 from .gains import SolverOptions, design_joint_gains, verify_gains
@@ -142,7 +141,7 @@ def cmd_design(args) -> int:
         mats, info = design_joint_gains(
             list(scenario.topologies), scenario.formation, opts, basis
         )
-    except (InfeasibleTopologyError, JointInfeasibilityError, SolverFailureError) as exc:
+    except (InfeasibleTopologyError, SolverFailureError) as exc:
         _fail(str(exc))
         return EXIT_INFEASIBLE
     reports = [verify_gains(gm, basis) for gm in mats]

@@ -20,10 +20,13 @@ is the realification of an n x n Hermitian matrix H, and -Q^T A Q that of
 the (n-2) x (n-2) Hermitian -Q_c^H H Q_c.  ADMM runs on the Hermitian
 matrices, with the inner products of their realifications: the same
 iterates at half the matrix side.  They are vectors of packed real
-coordinates (``_HermitianPacking``), and on null(G), of dimension p, the
-linear map is one dense m r^2 x (p + 1) matrix U, r = n - 2, formed once
-with the inverse of its (p + 1) x (p + 1) Gram matrix: the memory of a
-design is those m r^2 (p + 1) + (p + 1)^2 floats.
+coordinates (``_HermitianPacking``), written svec.  On x = x0 + N y, N an
+orthonormal basis of null(G) of dimension p, the design's linear map has
+one form: the dense m r^2 x (p + 1) matrix U = [svec B(N e_i) | svec I],
+r = n - 2, plus the offset f0 = svec B(x0).  U is formed once with the
+inverse of its (p + 1) x (p + 1) Gram matrix, and the iteration, the
+achieved gamma and the certificate all read it: the memory of a design is
+those m r^2 (p + 1) + (p + 1)^2 floats.
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ class _HermitianPacking:
 
 
 class _EdgeOperator:
-    """x -> Q_c^H H^k(x) Q_c for every topology k of a pool, from the edge list.
+    """The packed linear map x -> svec B(x), B(x) the stack of
+    Q_c^H H^k(x) Q_c over the topologies k of a pool, from the edge list.
 
     A block a I + b K acts on (x, y) as a - ib acts on x + iy, so A^k(x) is
     the realification of the n x n complex matrix H^k(x) with entry a - ib
@@ -261,14 +265,15 @@ class _EdgeOperator:
     1 x r rows Q_c[i] and, per edge (i, j), D = Q_c[j] - Q_c[i] and
     S = Q_c[i] + Q_c[j], the a-variable of the edge contributes -a D^H D and
     its b-variable -ib S^H D.  Every variable u is thus c_u L_u^H R_u with
-    1 x r factors, from which the forward map, its adjoint and the packed
-    matrix of the map on a basis are formed: nothing of size r^2 x dim.
-    Inner products are <W, M> = 2 Re tr(W^H M), the real Frobenius product
-    of the realified matrices, so the adjoint is that of the real map.
+    1 x r factors, from which ``packed`` forms the matrix of the map on a
+    basis in the coordinates of ``pack``: nothing of size r^2 x dim.
+    Inner products are <W, M> = 2 Re tr(W^H M) = 2 svec W . svec M, so on a
+    basis P the adjoint is W -> 2 ``packed(P)``^T svec W.
     """
 
     def __init__(self, pool: _VariablePool, Qc: NDArray[np.complex128]):
         self.m, self.r, self.dim = len(pool.graphs), Qc.shape[1], pool.dim
+        self.pack = _HermitianPacking(self.r)
         self.parts = []  # (conj L, R, index, coef) of each topology's variables
         for k, g in enumerate(pool.graphs):
             i, j = g.edge_index()
@@ -280,23 +285,12 @@ class _EdgeOperator:
                 np.repeat([-1.0, -1j], len(D)),
             ))
 
-    def forward(self, x: NDArray[np.float64]) -> NDArray[np.complex128]:
-        """Stack (m, r, r) of Q_c^H H^k(x) Q_c."""
-        return np.stack([(Lc.T * (coef * x[idx])) @ R for Lc, R, idx, coef in self.parts])
-
-    def adjoint(self, W: NDArray[np.complexfloating]) -> NDArray[np.float64]:
-        """x-space vector sum_k B_k^T W_k for a stack W of shape (m, r, r):
-        entry u is 2 Re tr(B_u^H W) = 2 Re(conj(c_u) L_u W R_u^H)."""
-        return sum(
-            np.bincount(idx, minlength=self.dim, weights=(
-                2.0 * coef.conj() * np.einsum("us,us->u", Lc.conj() @ Wk, R.conj())).real)
-            for (Lc, R, idx, coef), Wk in zip(self.parts, W))
-
-    def packed(self, pack: _HermitianPacking, basis: NDArray[np.float64]) -> NDArray[np.float64]:
-        """(m r^2, c) matrix of y -> pack(forward(basis @ y)) for a dim x c
+    def packed(self, basis: NDArray[np.float64]) -> NDArray[np.float64]:
+        """(m r^2, c) matrix of y -> svec B(basis @ y) for a dim x c
         ``basis``.  Entry (s, t) of Q_c^H H^k(x) Q_c is sum_u c_u x_u
         conj(L_us) R_ut, so each packed coordinate is a real row over the
         variables; rows are formed CHUNK_ROWS at a time."""
+        pack = self.pack
         size = pack.index.size
         out = np.empty((self.m, size, basis.shape[1]))
         for k, (Lc, R, idx, coef) in enumerate(self.parts):
@@ -344,8 +338,8 @@ def _constraints(pool: _VariablePool, spec: FormationSpec, trace_total: float):
 
 
 def _independent_constraints(G, h):
-    """Least-norm solution x0 of G x = h and orthonormal bases of null(G) and
-    range(G^T), from one SVD; singular values <= 1e-10 of the largest are 0."""
+    """Least-norm solution x0 of G x = h and an orthonormal basis N of
+    null(G), from one SVD; singular values <= 1e-10 of the largest are 0."""
     U, S, Vt = np.linalg.svd(G)
     rank = int(np.sum(S > 1e-10 * (S[0] if S.size else 1.0)))
     x0 = Vt[:rank].T @ ((U[:, :rank].T @ h) / S[:rank])
@@ -354,7 +348,7 @@ def _independent_constraints(G, h):
             "gain constraints admit no solution for this graph/formation pair; "
             "the sensing graph is likely not universally rigid"
         )
-    return x0, Vt[rank:].T, Vt[:rank].T
+    return x0, Vt[rank:].T
 
 
 @dataclass
@@ -363,10 +357,10 @@ class SolveInfo:
 
     ``algorithm`` is ``"admm"``, or ``"closed_form"`` for a flat optimum,
     which takes 0 iterations and has gamma = ``upper_bound`` = |tau|/(2n-4).
-    For ADMM, ``upper_bound`` = -sum_k <W_k, Abar^k(x)>, with W the PSD part
-    of the final multiplier at unit total trace, bounds the optimal gamma from
-    above once ``bound_residual``, the part of B^T W outside range(G^T), is
-    zero."""
+    For ADMM, W is the PSD part of the final multiplier at unit total trace,
+    and ``upper_bound`` = -<B^T W, x> bounds the optimal gamma from above
+    once ``bound_residual`` = ||N^T B^T W||, the norm of the part of B^T W
+    outside range(G^T), is zero.  ``_admm_solve`` reads both off U."""
 
     algorithm: str
     iterations: int
@@ -386,17 +380,16 @@ def _psd_project(M: NDArray[np.complexfloating]) -> NDArray[np.complex128]:
     return (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _null_space_map(op: _EdgeOperator, x0, null_basis, pack: _HermitianPacking):
+def _null_space_map(op: _EdgeOperator, x0, null_basis):
     """(U, f0, a, S), formed once: B(x0 + N y) + gamma I packs to f0 + U w for
-    w = (y, gamma), U = [pack B(N e_i) | pack I], and w = a - S U^T c minimizes
-    -gamma + ||f0 + U w + c||^2 for a packed stack c (half the realified norm):
-    S = 2 M^-1 and a = M^-1 (e_gamma - 2 U^T f0) for M = 2 U^T U.  Memory:
-    m r^2 (p + 1) floats for U and (p + 1)^2 for S."""
-    m, r, p = op.m, op.r, null_basis.shape[1]
-    U = np.empty((m * r * r, p + 1))
-    U[:, :p] = op.packed(pack, null_basis)
-    U[:, p] = np.tile(pack.rows == pack.cols, m)  # pack I: 1 on each diagonal entry
-    f0 = pack.pack(op.forward(x0))
+    w = (y, gamma), f0 = svec B(x0) and U = [svec B(N e_i) | svec I], and
+    w = a - S U^T c minimizes -gamma + ||f0 + U w + c||^2 for a packed stack
+    c (half the realified norm): S = 2 M^-1 and a = M^-1 (e_gamma - 2 U^T f0)
+    for M = 2 U^T U.  Memory: m r^2 (p + 1) floats for U and (p + 1)^2 for S."""
+    p, pack = null_basis.shape[1], op.pack
+    U = op.packed(np.column_stack([null_basis, x0]))  # column p is f0 until svec I
+    f0 = U[:, p].copy()
+    U[:, p] = np.tile(pack.rows == pack.cols, op.m)  # svec I: 1 on each diagonal entry
     M = 2.0 * (U.T @ U)
     # Tiny ridge guards rank deficiency in degenerate variable pools.
     M[np.diag_indices(p + 1)] += 1e-12 * max(1.0, np.trace(M) / (p + 1))
@@ -404,19 +397,25 @@ def _null_space_map(op: _EdgeOperator, x0, null_basis, pack: _HermitianPacking):
     return U, f0, 0.5 * S[:, p] - S @ (U.T @ f0), S
 
 
-def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
+def _admm_solve(op: _EdgeOperator, x0, null_basis):
     """ADMM on: max gamma s.t. Abar^k(x) + gamma I <= 0, G x = h.
 
-    x0 solves G x = h, and ``null_basis`` and ``range_basis`` are orthonormal
-    bases of null(G) and range(G^T).  The iterates are the (m, r, r) Hermitian
-    stacks of ``op`` in packed coordinates, whose dot product is half that of
-    the 2r x 2r realifications, so the iteration is the one on Q^T A^k(x) Q.
-    Each (x, gamma)-update minimizes -gamma + 1/2 ||B x + gamma I + Z + Y||^2
+    x0 solves G x = h, and ``null_basis`` N is an orthonormal basis of
+    null(G).  The iterates are the (m, r, r) Hermitian stacks of ``op`` in
+    packed coordinates, whose dot product is half that of the 2r x 2r
+    realifications, so the iteration is the one on Q^T A^k(x) Q.  Each
+    (x, gamma)-update minimizes -gamma + 1/2 ||B x + gamma I + Z + Y||^2
     (penalty 1, realified norm) subject to G x = h: the map of
-    ``_null_space_map``."""
-    m_top, r = op.m, op.r
-    pack = _HermitianPacking(r)
-    U, f0, a, S = _null_space_map(op, x0, null_basis, pack)
+    ``_null_space_map``.
+
+    The certificate is read off the same map.  For W >= 0 with unit total
+    trace and B^T W in range(G^T), every feasible (x, gamma) has
+    gamma <= -<B^T W, x>, which is constant on x0 + null(G).  With U_p the
+    first p columns of U, N^T B^T W = 2 U_p^T svec W, so
+    ``bound_residual`` = ||2 U_p^T svec W|| and, for x = x0 + N y,
+    ``upper_bound`` = -(2 svec(W) . f0 + (2 U_p^T svec W) . y)."""
+    m_top, r, pack = op.m, op.r, op.pack
+    U, f0, a, S = _null_space_map(op, x0, null_basis)
     z, y = np.zeros(len(f0)), np.zeros(len(f0))
     lower = np.zeros((m_top, r, r), dtype=complex)  # its strict upper triangle stays 0
     scale = np.sqrt(m_top) * 2 * r  # 2r: the side of the realified matrices
@@ -434,21 +433,19 @@ def _admm_solve(op: _EdgeOperator, x0, null_basis, range_basis):
         dual = np.sqrt(2.0 * (step @ step)) / scale
         if primal < PRIMAL_TOL and dual < DUAL_TOL:
             break
-    x, gamma = x0 + null_basis @ w[:-1], w[-1]
-    # For W >= 0 with unit total trace and B^T W = G^T lam, every feasible
-    # (x, gamma) has gamma <= -<B^T W, x> = -lam^T h.
     W = _psd_project(pack.unpack_lower(y, np.zeros_like(lower)))
     W /= 2.0 * np.trace(W, axis1=1, axis2=2).real.sum()
-    Bt_W = op.adjoint(W)
-    return x, SolveInfo(
+    svec_W = pack.pack(W)
+    Nt_Bt_W = 2.0 * (U[:, :-1].T @ svec_W)
+    return x0 + null_basis @ w[:-1], SolveInfo(
         algorithm="admm",
         iterations=it,
-        gamma=float(gamma),
+        gamma=float(w[-1]),
         primal_residual=float(primal),
         dual_residual=float(dual),
         converged=bool(primal < PRIMAL_TOL and dual < DUAL_TOL),
-        upper_bound=-float(Bt_W @ x),
-        bound_residual=float(np.linalg.norm(Bt_W - range_basis @ (range_basis.T @ Bt_W))),
+        upper_bound=-float(2.0 * (svec_W @ f0) + Nt_Bt_W @ w[:-1]),
+        bound_residual=float(np.linalg.norm(Nt_Bt_W)),
     )
 
 
@@ -506,12 +503,14 @@ def design_joint_gains(
         return [GainMatrix(g, p) for g, p in zip(graphs, flat)], info
     pool = _VariablePool(graphs)
     G, h = _constraints(pool, spec, trace_per * len(pool.graphs))
-    x0, null_basis, range_basis = _independent_constraints(G, h)
     op = _EdgeOperator(pool, basis.Qc)
-    x, info = _admm_solve(op, x0, null_basis, range_basis)
+    x, info = _admm_solve(op, *_independent_constraints(G, h))
 
-    # Exact achieved objective, independent of the solver's running estimate.
-    gamma = float(np.linalg.eigvalsh(-op.forward(x))[:, 0].min())
+    # Exact achieved objective, independent of the solver's running estimate:
+    # eigvalsh reads the lower triangles that svec B(x) unpacks to.
+    Bx = op.pack.unpack_lower(op.packed(x[:, None])[:, 0],
+                              np.zeros((op.m, op.r, op.r), dtype=complex))
+    gamma = float(np.linalg.eigvalsh(-Bx)[:, 0].min())
     info = replace(info, gamma=gamma)
     # Smallest gamma accepted: 1e-6 of the mean nonzero eigenvalue magnitude.
     floor = 1e-6 * abs(trace_per) / (2 * n - 4)

@@ -7,7 +7,9 @@ them.
 whole team at once; the tests compare them with these, and build small star
 graphs for cases that can be checked by hand.  The closed-loop matrices and
 the schedule lookup at the end are dense references for the gain checks and
-the simulator, and the edge-by-edge builders after them (gain matrix
+the simulator.  A consensus run stepped agent by agent, each agent in its own
+frame, is the reference for the simulator's world-frame engine.  The
+edge-by-edge builders after them (gain matrix
 assembly, per-agent edge arrays, design constraint rows) are the loops that
 the array code of ``bcbform.gains`` and ``bcbform.controllers`` must match
 bit for bit.  Last, the gain design's ADMM on dense operators, with full
@@ -213,6 +215,32 @@ def active_topology(schedule, t):
         if t_k <= t:
             index = k
     return index
+
+
+def local_frame_run(scenario, gains, start, steps):
+    """(steps, n, 2) positions of a single-integrator consensus run from
+    ``start``, computed as the paper's agents compute it, with no common
+    orientation: agent i rotates each measurement q_j - q_i by -theta_i
+    (``scenario.frame_angles``), applies its gain blocks (those the simulator
+    steps with, from ``_edge_arrays``), rotates the sum back by theta_i, and
+    takes an explicit Euler step, which is RK4 under a zero-order-hold
+    command."""
+    dt = scenario.sim.dt
+    frames = [rotation(theta) for theta in scenario.frame_angles]
+    edges = [_edge_arrays(gm, None, 1) for gm in gains]
+    out = np.empty((steps,) + np.shape(start))
+    out[0] = start
+    for k in range(1, steps):
+        e = edges[active_topology(scenario.schedule, (k - 1) * dt)]
+        q = out[k - 1]
+        u = np.zeros_like(q)
+        for i, R in enumerate(frames):
+            local = np.zeros(2)
+            for j, block in zip(e.dst[e.src == i], e.blocks[e.src == i]):
+                local += block @ (R.T @ (q[j] - q[i]))
+            u[i] = R @ local
+        out[k] = q + dt * u
+    return out
 
 
 def block_row(gm, i):

@@ -12,11 +12,13 @@ from reference_laws import (admm_dense, assemble, chain_closed_loop_matrix, cons
                             kkt_x_update, reduced_matrix)
 
 import bcbform.gains as gains_mod
-from bcbform.cli import demo_scenario
+from bcbform.cli import EXIT_INFEASIBLE, demo_scenario, main
 
 from bcbform.errors import (
     DimensionError,
     InfeasibleTopologyError,
+    JointInfeasibilityError,
+    SolverFailureError,
 )
 from bcbform.gains import (
     GainMatrix,
@@ -28,6 +30,8 @@ from bcbform.gains import (
     verify_higher_order_gains,
 )
 from bcbform.geometry import FormationSpec, SensingGraph, build_kernel_basis
+from bcbform.io import save_scenario
+from bcbform.sim import Scenario
 
 HEX_POINTS = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
 
@@ -279,22 +283,19 @@ class TestConstraintSpace:
     @pytest.mark.parametrize("case", ["circulant18", "switching9"])
     def test_null_space_and_particular_solution(self, case):
         _, _, G, h = constraint_system(case)
-        x0, N, range_basis = gains_mod._independent_constraints(G, h)
+        x0, N = gains_mod._independent_constraints(G, h)
         scale = np.max(np.abs(G))
         assert np.max(np.abs(G @ N)) <= 1e-12 * scale
         assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) <= 1e-12
         assert np.max(np.abs(G @ x0 - h)) <= 1e-12 * np.max(np.abs(h))
-        rank = len(independent_rows(G))
-        assert range_basis.shape == (G.shape[1], rank)
-        assert N.shape == (G.shape[1], G.shape[1] - rank)
-        assert np.max(np.abs(range_basis.T @ N)) <= 1e-12
+        assert N.shape == (G.shape[1], G.shape[1] - len(independent_rows(G)))
 
     def test_redundant_rows_change_nothing(self):
         _, _, G, h = constraint_system("circulant18")
-        x0, N, _ = gains_mod._independent_constraints(G, h)
+        x0, N = gains_mod._independent_constraints(G, h)
         G2 = np.vstack([G, G[:10], 2.0 * G[3:4] - G[5:6]])
         h2 = np.concatenate([h, h[:10], 2.0 * h[3:4] - h[5:6]])
-        x0_2, N2, _ = gains_mod._independent_constraints(G2, h2)
+        x0_2, N2 = gains_mod._independent_constraints(G2, h2)
         assert N2.shape == N.shape
         assert np.max(np.abs(N2 @ N2.T - N @ N.T)) <= 1e-12
         assert np.max(np.abs(x0_2 - x0)) <= 1e-12 * np.max(np.abs(x0))
@@ -311,11 +312,11 @@ class TestConstraintSpace:
     @pytest.mark.parametrize("case", ["circulant18", "switching9"])
     def test_x_update_matches_dense_kkt_solve(self, case):
         pool, spec, G, h = constraint_system(case)
-        x0, N, _ = gains_mod._independent_constraints(G, h)
+        x0, N = gains_mod._independent_constraints(G, h)
         Qc = build_kernel_basis(spec).Qc
         op = gains_mod._EdgeOperator(pool, Qc)
-        pack = gains_mod._HermitianPacking(op.r)
-        U, f0, a, S = gains_mod._null_space_map(op, x0, N, pack)
+        pack = op.pack
+        U, f0, a, S = gains_mod._null_space_map(op, x0, N)
         # The KKT system of the constrained least squares on the dense
         # operator, bordered by independent rows of G.
         rows = independent_rows(G)
@@ -381,6 +382,71 @@ def test_admm_matches_dense_reference_loop(case):
     assert info.converged and info.iterations == iterations
     assert info.gamma == pytest.approx(gamma_ref, rel=1e-10)
     assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+# Draw 27 of a stream of random joint designs (default_rng(1); per draw n in
+# [6, 9), points in [-1, 1]^2, a base graph keeping each pair with
+# probability 0.55, and a second topology with 3 pairs toggled).  Each
+# topology designs alone, but no gains shared as the tie rule requires
+# serve both.
+JOINT_POINTS = [(-0.962467594985102, 0.7313269237402913), (0.9249462204860888, 0.08465300296829481),
+                (0.9357669168957639, 0.40956487303500766), (0.09045041605869919, -0.07264996421001135),
+                (-0.0672019861326203, 0.363993454148257), (-0.5309892624480994, 0.4308022490072039)]
+JOINT_EDGES = ([(1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 6), (4, 6), (5, 6)],
+               [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)])
+
+
+class TestRefusals:
+    """Designs that return no gains raise, and ``bcbform design`` exits 2
+    without writing a gains file."""
+
+    def design_exit(self, tmp_path, capsys, scenario, names=None):
+        save_scenario(str(tmp_path / "s.yaml"), scenario, names)
+        capsys.readouterr()
+        code = main(["design", str(tmp_path / "s.yaml"), "-o", str(tmp_path / "g.json"),
+                     "--quiet"])
+        assert not (tmp_path / "g.json").exists()
+        return code, capsys.readouterr().err
+
+    def test_certified_joint_infeasibility(self, tmp_path, capsys):
+        spec = FormationSpec.from_coordinates(JOINT_POINTS)
+        graphs = [SensingGraph(6, edges) for edges in JOINT_EDGES]
+        for g in graphs:
+            assert design_gains(g, spec)[1].converged
+        pool = gains_mod._VariablePool(graphs)
+        G, h = gains_mod._constraints(pool, spec, SolverOptions().resolved_trace(6) * 2)
+        op = gains_mod._EdgeOperator(pool, build_kernel_basis(spec).Qc)
+        _, info = gains_mod._admm_solve(op, *gains_mod._independent_constraints(G, h))
+        # The multiplier is dual feasible to 1e-13, so no shared gains have a
+        # gap above the bound, far below the 1e-6 floor.
+        assert info.converged
+        assert info.upper_bound <= 1e-13
+        assert 0.0 <= info.bound_residual <= 1e-13
+        with pytest.raises(JointInfeasibilityError,
+                           match="5 shared-gain groups bind the topologies") as exc:
+            design_joint_gains(graphs, spec)
+        # Each group ties one edge's gains across both topologies.
+        assert len(exc.value.tie_groups) == 5
+        assert all(sorted(k for k, _ in group) == [0, 1] for group in exc.value.tie_groups)
+        scenario = Scenario(formation=spec, topologies=tuple(graphs),
+                            schedule=((0.0, 0), (1.0, 1)))
+        code, err = self.design_exit(tmp_path, capsys, scenario)
+        assert code == EXIT_INFEASIBLE
+        assert err.startswith("error: joint gain design infeasible")
+        assert "5 shared-gain groups bind the topologies" in err
+
+    def test_iteration_cap_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # The triangle demo converges in 127 iterations; after 50 its gamma
+        # is above the floor but its residuals are not below tolerance.
+        monkeypatch.setattr(gains_mod, "MAX_ITERATIONS", 50)
+        scenario, names, opts = demo_scenario("triangle")
+        with pytest.raises(SolverFailureError,
+                           match="^ADMM did not converge in 50 iterations$") as exc:
+            design_joint_gains(list(scenario.topologies), scenario.formation, opts)
+        assert exc.value.primal_residual > gains_mod.PRIMAL_TOL
+        code, err = self.design_exit(tmp_path, capsys, scenario, names)
+        assert code == EXIT_INFEASIBLE
+        assert err == "error: ADMM did not converge in 50 iterations\n"
 
 
 def flat_bound(n, trace=None):
@@ -492,23 +558,26 @@ class TestEdgeOperator:
         op = gains_mod._EdgeOperator(pool, Qc)
         Bs = [dense_operator(pool, k, Qc) for k in range(len(graphs))]
         rng = np.random.default_rng(7)
-        x = rng.normal(size=pool.dim)
-        W = rng.normal(size=(len(graphs), r, r)) + 1j * rng.normal(size=(len(graphs), r, r))
-        forward = op.forward(x)
-        for k, Bk in enumerate(Bs):
-            assert np.max(np.abs(forward[k].reshape(-1) - Bk @ x)) <= 1e-12
-        # Under <W, M> = 2 Re tr(W^H M), B_k^T W_k is 2 Re(B_k^H vec W_k).
-        adjoint = sum(2.0 * (Bk.conj().T @ W[k].reshape(-1)).real for k, Bk in enumerate(Bs))
-        assert np.max(np.abs(op.adjoint(W) - adjoint)) <= 1e-12
-        # The packed matrix on a basis is pack(forward(basis @ y)), in one or
-        # in several blocks of rows.
-        pack = gains_mod._HermitianPacking(r)
-        basis, y = rng.normal(size=(pool.dim, 5)), rng.normal(size=5)
-        want = pack.pack(op.forward(basis @ y))
+        # Column t of the packed matrix on a basis is svec of the dense stack
+        # B_k basis[:, t], in one or in several blocks of rows.  The basis is
+        # every unit vector, which gives the whole map, then 5 random columns.
+        basis = np.hstack([np.eye(pool.dim), rng.normal(size=(pool.dim, 5))])
+        want = np.column_stack([op.pack.pack(np.stack([(Bk @ col).reshape(r, r) for Bk in Bs]))
+                                for col in basis.T])
         for chunk in (gains_mod.CHUNK_ROWS, 7):
             monkeypatch.setattr(gains_mod, "CHUNK_ROWS", chunk)
-            got = op.packed(pack, basis) @ y
+            got = op.packed(basis)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # Under <W, M> = 2 Re tr(W^H M), B^T W is sum_k 2 Re(B_k^H vec W_k).
+        # On null(G) every B(x) is Hermitian, so for Hermitian W,
+        # N^T B^T W = 2 packed(N)^T svec W: the certificate's identity.
+        G, h = gains_mod._constraints(pool, spec, -1.0)
+        _, N = gains_mod._independent_constraints(G, h)
+        W = random_hermitian_stack(rng, len(graphs), r)
+        adjoint = N.T @ sum(2.0 * (Bk.conj().T @ W[k].reshape(-1)).real
+                            for k, Bk in enumerate(Bs))
+        got = 2.0 * (op.packed(N).T @ op.pack.pack(W))
+        assert np.max(np.abs(got - adjoint)) <= 1e-12 * np.max(np.abs(adjoint))
 
     @pytest.mark.parametrize("graph", [circulant_graph(10), trilateration_graph(9),
                                        complete_graph(7)],

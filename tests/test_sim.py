@@ -15,6 +15,7 @@ from reference_laws import (
     consensus_term,
     higher_order_control,
     integral_control,
+    local_frame_run,
     scale_augmented_control,
 )
 
@@ -37,7 +38,7 @@ from bcbform.controllers import (
 )
 from bcbform.dynamics import heading_vector
 from bcbform.errors import ConfigurationError, GuaranteeViolationError
-from bcbform.gains import GainMatrix, design_gains, verify_gains
+from bcbform.gains import GainMatrix, design_gains, design_joint_gains, verify_gains
 from bcbform.geometry import (
     FormationSpec,
     SensingGraph,
@@ -267,17 +268,20 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(scenario, hex_gains + hex_gains)
 
-    def test_local_frames_do_not_change_trajectories(self, hex_gains):
-        # Each agent measuring in its own rotated frame but commanding in that
-        # same frame yields the identical world-frame closed loop.
-        base, _ = hexagon_scenario(sim=SimConfig(t_final=5.0))
-        rotated, _ = hexagon_scenario(
-            sim=SimConfig(t_final=5.0),
-            frame_angles=(0.3, -1.2, 2.0, 0.0, -0.7, 1.5),
-        )
-        log_a = run(base, hex_gains)
-        log_b = run(rotated, hex_gains)
-        assert np.max(np.abs(log_a.states - log_b.states)) < 1e-9
+    def test_local_frames_do_not_change_trajectories(self):
+        # The engine steps the team in the world frame and never reads
+        # frame_angles.  Agents that each measure and command in their own
+        # rotated frame move the same, because the blocks a I + b K commute
+        # with rotations.  Over 5 s both demos agree to 8.1e-14.
+        for name in ("hexagon", "triangle"):
+            scenario, _, opts = demo_scenario(name)
+            scenario = dataclasses.replace(
+                scenario, frame_angles=(0.3, -1.2, 2.0, 0.0, -0.7, 1.5),
+                sim=dataclasses.replace(scenario.sim, t_final=5.0))
+            gains, _ = design_joint_gains(list(scenario.topologies), scenario.formation, opts)
+            log = run(scenario, gains)
+            want = local_frame_run(scenario, gains, log.states[0], log.t.size)
+            assert np.max(np.abs(log.states - want)) <= 5e-13, name
 
     def test_lyapunov_monitor_clean_descent(self, hex_gains):
         scenario, _ = hexagon_scenario()
